@@ -329,7 +329,7 @@ func (oc *outcome) report(w io.Writer) {
 		fmt.Fprintf(w, " %.4g", d)
 	}
 	fmt.Fprintln(w)
-	oc.printEndToEnd(w, "metric", p)
+	oc.printEndToEnd(w, p)
 
 	if oc.traced == nil {
 		return
@@ -348,14 +348,17 @@ func (oc *outcome) report(w io.Writer) {
 	oc.printLayers(w)
 }
 
-func (oc *outcome) printEndToEnd(w io.Writer, prefix string, p *phase) {
+// printEndToEnd prints every end-to-end metric, the workload's headline
+// figure and failed_frac, one "metric <workload> <name> <value> <unit>"
+// line each.
+func (oc *outcome) printEndToEnd(w io.Writer, p *phase) {
 	vals := endToEndMetrics(p)
 	for _, d := range endToEnd {
-		fmt.Fprintf(w, "%s %s %s %.6g %s\n", prefix, oc.w.name, d.name, vals[d.name], d.unit)
+		fmt.Fprintf(w, "metric %s %s %.6g %s\n", oc.w.name, d.name, vals[d.name], d.unit)
 	}
 	v, unit := oc.headline(p)
-	fmt.Fprintf(w, "%s %s %s %.6g %s\n", prefix, oc.w.name, oc.w.headline, v, unit)
-	fmt.Fprintf(w, "%s %s failed_frac %.6g frac\n", prefix, oc.w.name, p.failedFrac())
+	fmt.Fprintf(w, "metric %s %s %.6g %s\n", oc.w.name, oc.w.headline, v, unit)
+	fmt.Fprintf(w, "metric %s failed_frac %.6g frac\n", oc.w.name, p.failedFrac())
 }
 
 // printLayers prints the traced repetitions' CPU per layer (every repository
