@@ -17,7 +17,7 @@ import (
 // steadily as millisecond ones.
 const (
 	setupSamples    = 15
-	setupSampleTime = 5 * time.Millisecond
+	setupSampleTime = 50 * time.Millisecond
 )
 
 // phase accumulates the repetitions of one measurement mode, untraced or

@@ -261,13 +261,8 @@ type fleetSpec struct {
 }
 
 const (
-	fleetTicks   = 8
-	fleetTick    = sim.Second
-	fleetOps     = 20
-	fleetStorm   = "slow:at=4s,dur=2s,factor=10"
-	fleetCanary  = 0.05
-	fleetFailFac = 0.85
-	fleetLatFac  = 0.95
+	fleetTicks = 8
+	fleetOps   = 20
 )
 
 func fleetOutcome(hosts, workers int) workload {
@@ -278,25 +273,26 @@ func fleetOutcome(hosts, workers int) workload {
 func (f fleetSpec) setup(seed uint64, tr *tracer) (func() (repResult, error), error) {
 	sp := tr.begin("fleet.Validate")
 	defer tr.end(sp)
-	plan, err := fault.ParsePlan(fleetStorm)
+	plan, err := fault.ParsePlan("slow:at=4s,dur=2s,factor=10")
 	if err != nil {
 		return nil, err
 	}
 	cfg := fleet.ClusterConfig{
 		Hosts:          f.hosts,
 		Ticks:          fleetTicks,
-		TickDur:        fleetTick,
+		TickDur:        sim.Second,
 		OpsPerHostTick: fleetOps,
 		Seed:           seed,
 		Workers:        f.workers,
 		Kind:           fleet.PackageFetch,
 		Migration:      &fleet.MigrationWave{StartTick: 0, Ticks: fleetTicks},
+		// iocost-fleet -push with its default canary fraction.
 		Push: &fleet.ConfigPush{
 			StartTick:  fleetTicks / 4,
-			CanaryFrac: fleetCanary,
+			CanaryFrac: 0.05,
 			RampTicks:  fleetTicks / 4,
-			FailFactor: fleetFailFac,
-			LatFactor:  fleetLatFac,
+			FailFactor: 0.85,
+			LatFactor:  0.95,
 		},
 		Storms: []fleet.FaultStorm{{Racks: []int{0, 1}, Plan: plan}},
 	}
