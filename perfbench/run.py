@@ -23,8 +23,12 @@ RUN_TIMEOUT_S = 175
 
 
 def go_env():
+    tmp = os.path.join(BUILD, "tmp")
+    os.makedirs(tmp, exist_ok=True)
     env = dict(os.environ)
     env.update(
+        GOTMPDIR=tmp,
+        TMPDIR=tmp,
         GOCACHE=os.path.join(BUILD, "gocache"),
         GOPATH=os.path.join(BUILD, "gopath"),
         GOMODCACHE=os.path.join(BUILD, "gopath", "pkg", "mod"),
