@@ -404,14 +404,14 @@ func (oc *outcome) printLayers(w io.Writer) {
 
 // summary prints one row per workload for --workload all.
 func summary(w io.Writer, ocs []*outcome) {
-	fmt.Fprintf(w, "== summary\n%-14s %12s %14s %12s %14s %14s %12s\n",
-		"workload", "setup_s", "throughput", "sim_speedup", "peak_heap_mib", "headline", "failed_frac")
+	fmt.Fprintf(w, "== summary\n%-14s %12s %14s %12s %14s %12s  %s\n",
+		"workload", "setup_s", "throughput", "sim_speedup", "peak_heap_mib", "failed_frac", "headline")
 	for _, oc := range ocs {
 		v := endToEndMetrics(oc.plain)
 		h, unit := oc.headline(oc.plain)
-		fmt.Fprintf(w, "%-14s %12.6g %14.6g %12.6g %14.6g %14s %12.6g\n", oc.w.name,
-			v["setup_s"], v["throughput"], v["sim_speedup"], v["peak_heap_mib"],
-			fmt.Sprintf("%s=%.4g%s", oc.w.headline, h, unit), oc.plain.failedFrac())
+		fmt.Fprintf(w, "%-14s %12.6g %14.6g %12.6g %14.6g %12.6g  %s=%.6g %s\n", oc.w.name,
+			v["setup_s"], v["throughput"], v["sim_speedup"], v["peak_heap_mib"], oc.plain.failedFrac(),
+			oc.w.headline, h, unit)
 	}
 }
 
