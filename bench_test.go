@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"github.com/iocost-sim/iocost/internal/exp"
+	"github.com/iocost-sim/iocost/internal/fanout"
 	"github.com/iocost-sim/iocost/internal/sim"
 )
 
@@ -26,7 +27,7 @@ var expParallel = flag.Bool("exp.parallel", false,
 
 func TestMain(m *testing.M) {
 	flag.Parse()
-	exp.SetParallel(*expParallel)
+	fanout.SetParallel(*expParallel)
 	os.Exit(m.Run())
 }
 

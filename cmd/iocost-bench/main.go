@@ -21,6 +21,7 @@ import (
 
 	"github.com/iocost-sim/iocost/internal/cli"
 	"github.com/iocost-sim/iocost/internal/exp"
+	"github.com/iocost-sim/iocost/internal/fanout"
 	"github.com/iocost-sim/iocost/internal/fleet"
 	"github.com/iocost-sim/iocost/internal/sim"
 )
@@ -219,7 +220,7 @@ func main() {
 	parallel := flag.Bool("parallel", false,
 		"fan independent experiment cells across GOMAXPROCS goroutines (identical output, less wall clock)")
 	cli.Parse("iocost-bench")
-	exp.SetParallel(*parallel)
+	fanout.SetParallel(*parallel)
 
 	want := map[string]bool{}
 	if *run != "all" {

@@ -33,7 +33,6 @@ import (
 	"github.com/iocost-sim/iocost/internal/exp"
 	"github.com/iocost-sim/iocost/internal/fault"
 	"github.com/iocost-sim/iocost/internal/fleet"
-	"github.com/iocost-sim/iocost/internal/scenario"
 	"github.com/iocost-sim/iocost/internal/sim"
 )
 
@@ -75,6 +74,13 @@ func main() {
 		cli.Fatalf(tool, "unknown kind %q (want fetch or cleanup)", *kindName)
 	}
 
+	if *ticks < 1 {
+		cli.Fatalf(tool, "-ticks %d: need at least one tick", *ticks)
+	}
+	if *trials < 1 {
+		cli.Fatalf(tool, "-trials %d: need at least one trial", *trials)
+	}
+
 	fidMode, err := fleet.ParseFidelityMode(*fidelity)
 	if err != nil {
 		cli.Fatalf(tool, "%v", err)
@@ -95,7 +101,7 @@ func main() {
 		},
 	}
 	if fidMode != fleet.FidelityOutcome {
-		cfg.Fidelity.Machine = scenario.NewFleetHost
+		cfg.Fidelity.Machine = exp.NewFleetHost
 	}
 	if *migrate {
 		cfg.Migration = &fleet.MigrationWave{StartTick: 0, Ticks: *ticks}

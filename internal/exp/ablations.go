@@ -8,6 +8,7 @@ import (
 	"github.com/iocost-sim/iocost/internal/cgroup"
 	"github.com/iocost-sim/iocost/internal/core"
 	"github.com/iocost-sim/iocost/internal/device"
+	"github.com/iocost-sim/iocost/internal/fanout"
 	"github.com/iocost-sim/iocost/internal/sim"
 	"github.com/iocost-sim/iocost/internal/tune"
 	"github.com/iocost-sim/iocost/internal/workload"
@@ -61,7 +62,7 @@ func AblationDonation(measure sim.Time) AblationDonationResult {
 		m.Run(measure/2 + measure)
 		return float64(wLo.Stats.TakeWindow()) / measure.Seconds()
 	}
-	res := ForEach(2, func(i int) float64 { return run(i == 1) })
+	res := fanout.ForEach(2, func(i int) float64 { return run(i == 1) })
 	with, without := res[0], res[1]
 	gain := 0.0
 	if without > 0 {
@@ -92,7 +93,7 @@ func AblationPeriod(measure sim.Time) []AblationPeriodRow {
 		measure = 4 * sim.Second
 	}
 	periods := []sim.Time{1 * sim.Millisecond, 5 * sim.Millisecond, 25 * sim.Millisecond, 100 * sim.Millisecond}
-	return ForEach(len(periods), func(pi int) AblationPeriodRow {
+	return fanout.ForEach(len(periods), func(pi int) AblationPeriodRow {
 		period := periods[pi]
 		spec := device.OlderGenSSD()
 		m := MustNewMachine(MachineConfig{
@@ -174,7 +175,7 @@ func AblationCostModel(measure sim.Time) []AblationCostModelRow {
 		})},
 	}
 
-	return ForEach(len(models), func(mi int) AblationCostModelRow {
+	return fanout.ForEach(len(models), func(mi int) AblationCostModelRow {
 		mc := models[mi]
 		m := MustNewMachine(MachineConfig{
 			Device:     ssdChoice(spec),
@@ -282,7 +283,7 @@ func AblationMerging(measure sim.Time) AblationMergingResult {
 		m.Run(measure)
 		return float64(m.Q.Completions()) / measure.Seconds()
 	}
-	res := ForEach(2, func(i int) float64 { return run(i == 0) })
+	res := fanout.ForEach(2, func(i int) float64 { return run(i == 0) })
 	merged, unmerged := res[0], res[1]
 	gain := 0.0
 	if unmerged > 0 {
@@ -314,7 +315,7 @@ func SweepWeightRatios(measure sim.Time) []WeightRatioRow {
 		measure = 4 * sim.Second
 	}
 	ratios := []float64{1, 2, 4, 8, 16}
-	return ForEach(len(ratios), func(ri int) WeightRatioRow {
+	return fanout.ForEach(len(ratios), func(ri int) WeightRatioRow {
 		ratio := ratios[ri]
 		spec := device.OlderGenSSD()
 		m := MustNewMachine(MachineConfig{

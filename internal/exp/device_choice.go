@@ -120,10 +120,10 @@ var fleetDeviceNames = []string{
 	"A", "B", "C", "D", "E", "F", "G", "H",
 }
 
-// FleetHostDevice draws one host's device model for the fleet simulation:
+// fleetHostDevice draws one host's device model for the fleet simulation:
 // uniform over the eleven SSD models a datacenter actually mixes (Figure
 // 3's A–H plus the three evaluation SSDs). Consumes exactly one draw.
-func FleetHostDevice(r *rng.Source) DeviceChoice {
+func fleetHostDevice(r *rng.Source) DeviceChoice {
 	name := fleetDeviceNames[r.Intn(len(fleetDeviceNames))]
 	c, err := ParseDevice(name)
 	if err != nil {
@@ -132,11 +132,11 @@ func FleetHostDevice(r *rng.Source) DeviceChoice {
 	return c
 }
 
-// FleetHostController draws the legacy (pre-migration) controller for one
+// fleetHostController draws the legacy (pre-migration) controller for one
 // fleet host: mostly io.latency — the fleet the paper migrated away from —
 // with a minority of the other cgroup-aware mechanisms. Consumes exactly
 // one draw; migrated hosts run KindIOCost regardless.
-func FleetHostController(r *rng.Source) string {
+func fleetHostController(r *rng.Source) string {
 	switch d := r.Intn(10); {
 	case d < 6:
 		return KindIOLatency

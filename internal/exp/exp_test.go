@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/iocost-sim/iocost/internal/device"
+	"github.com/iocost-sim/iocost/internal/fleet"
 	"github.com/iocost-sim/iocost/internal/rcb"
 	"github.com/iocost-sim/iocost/internal/sim"
 )
@@ -321,13 +322,6 @@ func TestFig16ZooKeeperSLO(t *testing.T) {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func TestFig18Fig19FleetReductions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet micro-simulations are slow")
@@ -347,6 +341,47 @@ func TestFig18Fig19FleetReductions(t *testing.T) {
 		n := r.Weekly.Len()
 		if r.Weekly.Y[n-1] >= r.Weekly.Y[0]/2 {
 			t.Errorf("%v: weekly failures did not decline: %v", r.Kind, r.Weekly.Y)
+		}
+	}
+}
+
+func TestRunOpCompletesOnIdleHost(t *testing.T) {
+	for _, kind := range []fleet.OpKind{fleet.PackageFetch, fleet.ContainerCleanup} {
+		d, ok := runOp(KindNone, kind, 0.1, 7)
+		if !ok {
+			t.Errorf("%v failed on a nearly idle host (took %v)", kind, d)
+		}
+	}
+}
+
+func TestPressureSlowsOps(t *testing.T) {
+	light, _ := runOp(KindNone, fleet.PackageFetch, 0.1, 7)
+	heavy, _ := runOp(KindNone, fleet.PackageFetch, 1.05, 7)
+	if heavy <= light {
+		t.Errorf("pressure did not slow the fetch: light=%v heavy=%v", light, heavy)
+	}
+}
+
+// TestFleetWeeksWave: the Figs 18/19 sweep starts with no host migrated
+// and ends with every host migrated, w/7 of them in week w in between.
+func TestFleetWeeksWave(t *testing.T) {
+	const hosts = 700
+	old, new_ := fleet.DefaultCurves(fleet.PackageFetch)
+	s, err := fleet.RunCluster(fleetWeeks(fleet.PackageFetch, hosts, old, new_))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(s.PerTick) - 1
+	if got := s.PerTick[0].Migrated; got != 0 {
+		t.Errorf("week 0: %d hosts migrated, want 0", got)
+	}
+	if got := s.PerTick[last].Migrated; got != hosts {
+		t.Errorf("week %d: %d hosts migrated, want %d", last, got, hosts)
+	}
+	for w, ts := range s.PerTick {
+		want := hosts * w / last
+		if d := ts.Migrated - want; d < -hosts/10 || d > hosts/10 {
+			t.Errorf("week %d: %d hosts migrated, want about %d", w, ts.Migrated, want)
 		}
 	}
 }

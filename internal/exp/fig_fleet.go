@@ -4,47 +4,96 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/iocost-sim/iocost/internal/blk"
 	"github.com/iocost-sim/iocost/internal/cgroup"
 	"github.com/iocost-sim/iocost/internal/ctl"
 	"github.com/iocost-sim/iocost/internal/device"
+	"github.com/iocost-sim/iocost/internal/fanout"
 	"github.com/iocost-sim/iocost/internal/fleet"
+	"github.com/iocost-sim/iocost/internal/rng"
 	"github.com/iocost-sim/iocost/internal/sim"
 	"github.com/iocost-sim/iocost/internal/stats"
+	"github.com/iocost-sim/iocost/internal/workload"
 )
 
-// hostFactory builds a fleet.Host running the given mechanism on the
-// older-generation SSD (the fleet's most contended device class).
-func hostFactory(kind string) fleet.HostFactory {
-	return func(eng *sim.Engine, seed uint64) fleet.Host {
-		spec := device.OlderGenSSD()
-		dev := device.NewSSD(eng, spec, seed)
-		var c blk.Controller
-		if kind == KindIOCost {
-			c = newIOCostController(spec)
-		} else {
-			var err error
-			if c, err = ctl.New(kind, ctl.Config{}); err != nil {
-				panic("fleet: " + err.Error())
+// runOp executes one fleet operation on a fresh machine running the given
+// controller on the older-generation SSD (the fleet's most contended device
+// class), whose main workload exerts the given pressure (a fraction of
+// readCapBps/writeCapBps). It returns the operation's completion time, or
+// 3x the deadline if it did not finish within that window.
+func runOp(controller string, kind fleet.OpKind, pressure float64, seed uint64) (sim.Time, bool) {
+	m := MustNewMachine(MachineConfig{
+		Device: ssdChoice(device.OlderGenSSD()), Controller: controller, Seed: seed,
+	})
+	if iol, ok := m.Ctl.(*ctl.IOLatency); ok {
+		// Production io.latency deployments protect the workload tier;
+		// system services run without targets (lowest priority), which
+		// is exactly how they starve.
+		iol.SetTarget(m.Workload, 10*sim.Millisecond)
+	}
+
+	// Main workload pressure: open-loop random reads plus buffered writes
+	// scaled to the requested fraction of device capability.
+	job := m.Workload.NewChild("job", cgroup.DefaultWeight)
+	rd := workload.NewReplayer(m.Q, job, workload.DemandProfile{
+		Name:          "pressure",
+		ReadBps:       pressure * readCapBps,
+		WriteBps:      pressure * writeCapBps,
+		ReadRandFrac:  0.8,
+		WriteRandFrac: 0.3,
+		IOSize:        16 << 10,
+	}, 0, seed^0xf1ee7)
+	rd.Start()
+
+	// Let contention establish.
+	m.Run(500 * sim.Millisecond)
+
+	p := kind.Probe(1)
+	parent := m.HostCritical
+	if p.System {
+		parent = m.System
+	}
+	agent := parent.NewChild("op", cgroup.DefaultWeight)
+	op := startFleetOp(m, agent, p, probeRegion, rng.Derive(seed, 0x09), nil)
+	m.Run(op.start + 3*p.Deadline)
+	rd.Stop()
+	if !op.done {
+		return 3 * p.Deadline, false
+	}
+	return op.lat, op.lat <= p.Deadline
+}
+
+// measureCurve builds a failure-probability curve for one controller by
+// running trials at each pressure level (ascending), folding in the
+// operation's non-IO failure floor.
+func measureCurve(controller string, kind fleet.OpKind, pressures []float64, trials int, seed uint64) fleet.Curve {
+	c := fleet.Curve{Kind: kind, Pressures: pressures}
+	base := kind.BaseFailProb()
+	for _, p := range pressures {
+		fails := 0
+		for t := 0; t < trials; t++ {
+			if _, ok := runOp(controller, kind, p, seed+uint64(t)*7919+uint64(p*1000)); !ok {
+				fails++
 			}
 		}
-		q := blk.New(eng, dev, c, 0)
-
-		hier := cgroup.NewHierarchy()
-		h := fleet.Host{
-			Q:            q,
-			System:       hier.Root().NewChild("system", 50),
-			HostCritical: hier.Root().NewChild("hostcritical", 100),
-			Workload:     hier.Root().NewChild("workload", 850),
-		}
-		if iol, ok := c.(*ctl.IOLatency); ok {
-			// Production io.latency deployments protect the workload
-			// tier; system services run without targets (lowest
-			// priority), which is exactly how they starve.
-			iol.SetTarget(h.Workload, 10*sim.Millisecond)
-		}
-		return h
+		ioFail := float64(fails) / float64(trials)
+		c.FailProb = append(c.FailProb, ioFail+(1-ioFail)*base)
 	}
+	return c
+}
+
+// MeasuredFleetCurves derives the old (io.latency) and new (iocost)
+// failure curves from live per-host micro-simulations — the first level of
+// the Figs 18/19 methodology. Trials <= 0 selects 3 per pressure point.
+func MeasuredFleetCurves(kind fleet.OpKind, trials int) (old, new_ fleet.Curve) {
+	if trials <= 0 {
+		trials = 3
+	}
+	pressures := []float64{0.3, 0.6, 0.8, 0.88, 0.95, 1.02, 1.1}
+	controllers := []string{KindIOLatency, KindIOCost}
+	curves := fanout.ForEach(2, func(i int) fleet.Curve {
+		return measureCurve(controllers[i], kind, pressures, trials, 0x18+uint64(i))
+	})
+	return curves[0], curves[1]
 }
 
 // FleetResult is one migration sweep (Figure 18 or 19).
@@ -65,6 +114,21 @@ type FigFleetOptions struct {
 	Hosts int
 }
 
+// fleetWeeks is the Figs 18/19 region sweep: eight weekly ticks with w/7
+// of the hosts migrated from the old curve to the new one in week w — none
+// in week 0, all of them in week 7.
+func fleetWeeks(kind fleet.OpKind, hosts int, old, new_ fleet.Curve) fleet.ClusterConfig {
+	return fleet.ClusterConfig{
+		Hosts:     hosts,
+		Ticks:     8,
+		Seed:      0x181,
+		Kind:      kind,
+		Old:       old,
+		New:       new_,
+		Migration: &fleet.MigrationWave{StartTick: 1, Ticks: 7},
+	}
+}
+
 // runFleet builds the IOLatency and IOCost failure curves for the given
 // operation and sweeps the region migration.
 func runFleet(kind fleet.OpKind, opts FigFleetOptions) FleetResult {
@@ -72,24 +136,24 @@ func runFleet(kind fleet.OpKind, opts FigFleetOptions) FleetResult {
 	if trials == 0 {
 		trials = 5
 	}
-	pressures := []float64{0.3, 0.6, 0.8, 0.88, 0.95, 1.02, 1.1}
-	// The two controller curves are independent micro-simulation sweeps.
-	curveKinds := []string{KindIOLatency, KindIOCost}
-	curves := ForEach(2, func(i int) fleet.Curve {
-		return fleet.MeasureCurve(hostFactory(curveKinds[i]), kind, pressures, trials, 0x18+uint64(i))
-	})
-	old, new_ := curves[0], curves[1]
-	weekly := fleet.MigrationSweep(old, new_, fleet.MigrationConfig{
-		Hosts: opts.Hosts, Seed: 0x181,
-	})
-	first, last := weekly.Y[0], weekly.Y[len(weekly.Y)-1]
-	red := 0.0
-	if last > 0 {
-		red = first / last
-	} else if first > 0 {
-		red = first // fully eliminated; report first-week count as the factor floor
+	hosts := opts.Hosts
+	if hosts == 0 {
+		hosts = 2000
 	}
-	return FleetResult{Kind: kind, OldCurve: old, NewCurve: new_, Weekly: weekly, Reduction: red}
+	old, new_ := MeasuredFleetCurves(kind, trials)
+	cfg := fleetWeeks(kind, hosts, old, new_)
+	if fanout.ParallelEnabled() {
+		cfg.Workers = fanout.DefaultWorkers()
+	}
+	s, err := fleet.RunCluster(cfg)
+	if err != nil {
+		panic(err)
+	}
+	weekly := &stats.Series{Name: kind.String() + "-failures"}
+	for w, ts := range s.PerTick {
+		weekly.Add(float64(w), float64(ts.Fails))
+	}
+	return FleetResult{Kind: kind, OldCurve: old, NewCurve: new_, Weekly: weekly, Reduction: s.Reduction()}
 }
 
 // Fig18 reproduces the package-fetch failure-reduction sweep.

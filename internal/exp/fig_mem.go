@@ -8,6 +8,7 @@ import (
 	"github.com/iocost-sim/iocost/internal/core"
 	"github.com/iocost-sim/iocost/internal/ctl"
 	"github.com/iocost-sim/iocost/internal/device"
+	"github.com/iocost-sim/iocost/internal/fanout"
 	"github.com/iocost-sim/iocost/internal/mem"
 	"github.com/iocost-sim/iocost/internal/pidctl"
 	"github.com/iocost-sim/iocost/internal/rcb"
@@ -145,7 +146,7 @@ func Fig14(opts Fig14Options) []Fig14Row {
 		{"newer-gen", device.NewerGenSSD()},
 	}
 	kinds := []string{KindMQDL, KindBFQ, KindIOLatency, KindIOCost}
-	return ForEach(len(devices)*len(kinds), func(ci int) Fig14Row {
+	return fanout.ForEach(len(devices)*len(kinds), func(ci int) Fig14Row {
 		d := devices[ci/len(kinds)]
 		kind := kinds[ci%len(kinds)]
 		res := runMemScenario(memScenarioConfig{
@@ -190,7 +191,7 @@ func Fig17(opts Fig14Options) []Fig17Row {
 		opts.Leak = 20 * sim.Second
 	}
 	vols := []device.RemoteSpec{device.EBSgp3(), device.EBSio2(), device.GCPBalanced(), device.GCPSSD()}
-	return ForEach(len(vols), func(i int) Fig17Row {
+	return fanout.ForEach(len(vols), func(i int) Fig17Row {
 		v := vols[i]
 		// Scale offered load and leak rate to the volume's capability
 		// so every volume runs meaningfully loaded.
@@ -271,7 +272,7 @@ func Fig15(opts Fig15Options) []Fig15Row {
 		{"iocost-no-debt", KindIOCost, withFlag(func(c *core.Config) { c.DisableDebt = true })},
 	}
 
-	return ForEach(len(configs)*2, func(ci int) Fig15Row {
+	return fanout.ForEach(len(configs)*2, func(ci int) Fig15Row {
 		c := configs[ci/2]
 		stress := ci%2 == 1
 		t, ok := runRamp(c.kind, c.ioc, spec, stress, limit)

@@ -8,6 +8,7 @@ import (
 	"github.com/iocost-sim/iocost/internal/cgroup"
 	"github.com/iocost-sim/iocost/internal/ctl"
 	"github.com/iocost-sim/iocost/internal/device"
+	"github.com/iocost-sim/iocost/internal/fanout"
 	"github.com/iocost-sim/iocost/internal/sim"
 	"github.com/iocost-sim/iocost/internal/workload"
 )
@@ -75,7 +76,7 @@ func configureForTwoToOne(m *Machine, hi, lo *cgroup.Node) {
 func Fig10(opts Fig10Options) []Fig10Row {
 	opts = opts.defaults()
 	kinds := CgroupKinds()
-	return ForEach(len(kinds), func(i int) Fig10Row {
+	return fanout.ForEach(len(kinds), func(i int) Fig10Row {
 		kind := kinds[i]
 		m := MustNewMachine(MachineConfig{
 			Device:     ssdChoice(device.OlderGenSSD()),
@@ -166,7 +167,7 @@ type Fig11Row struct {
 func Fig11(opts Fig10Options) []Fig11Row {
 	opts = opts.defaults()
 	kinds := CgroupKinds()
-	return ForEach(len(kinds), func(i int) Fig11Row {
+	return fanout.ForEach(len(kinds), func(i int) Fig11Row {
 		kind := kinds[i]
 		m := MustNewMachine(MachineConfig{
 			Device:     ssdChoice(device.OlderGenSSD()),
@@ -244,7 +245,7 @@ func Fig12(opts Fig12Options) []Fig12Row {
 	warm := measure / 3
 
 	pats := []workload.Pattern{workload.Random, workload.Sequential}
-	peaks := ForEach(len(pats), func(i int) float64 {
+	peaks := fanout.ForEach(len(pats), func(i int) float64 {
 		m := MustNewMachine(MachineConfig{
 			Device:     DeviceChoice{HDD: hddSpec()},
 			Controller: KindNone,
@@ -274,7 +275,7 @@ func Fig12(opts Fig12Options) []Fig12Row {
 	// Flatten the mechanism × scenario grid into independent cells; index
 	// order matches the original nested-loop order.
 	kinds := []string{KindMQDL, KindBFQ, KindIOCost}
-	return ForEach(len(kinds)*len(scenarios), func(ci int) Fig12Row {
+	return fanout.ForEach(len(kinds)*len(scenarios), func(ci int) Fig12Row {
 		kind := kinds[ci/len(scenarios)]
 		sc := scenarios[ci%len(scenarios)]
 		m := MustNewMachine(MachineConfig{

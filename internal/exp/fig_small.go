@@ -10,6 +10,7 @@ import (
 	"github.com/iocost-sim/iocost/internal/core"
 	"github.com/iocost-sim/iocost/internal/ctl"
 	"github.com/iocost-sim/iocost/internal/device"
+	"github.com/iocost-sim/iocost/internal/fanout"
 	"github.com/iocost-sim/iocost/internal/profiler"
 	"github.com/iocost-sim/iocost/internal/sim"
 	"github.com/iocost-sim/iocost/internal/tune"
@@ -85,7 +86,7 @@ func Fig3(opts Fig3Options) []Fig3Row {
 		po = profiler.Options{Warmup: 300 * sim.Millisecond, Measure: 300 * sim.Millisecond, Depth: 64}
 	}
 	names := device.FleetSSDNames()
-	return ForEach(len(names), func(i int) Fig3Row {
+	return fanout.ForEach(len(names), func(i int) Fig3Row {
 		spec, err := device.FleetSSDSpec(names[i])
 		if err != nil {
 			panic(err)
@@ -136,7 +137,7 @@ func Fig4(opts Fig4Options) []Fig4Row {
 		dur = 5 * sim.Second
 	}
 	profiles := workload.MetaProfiles()
-	return ForEach(len(profiles), func(i int) Fig4Row {
+	return fanout.ForEach(len(profiles), func(i int) Fig4Row {
 		p := profiles[i]
 		m := MustNewMachine(MachineConfig{
 			Device:     ssdChoice(device.EnterpriseSSD()),
@@ -369,7 +370,7 @@ func Fig9(opts Fig9Options) []Fig9Row {
 	const baselinePerIO = 1e9 / devIOPS
 
 	kinds := []string{KindMQDL, KindKyber, KindBFQ, KindThrottle, KindIOLatency, KindIOCost}
-	meass := ForEach(len(kinds), func(i int) meas { return run(kinds[i]) })
+	meass := fanout.ForEach(len(kinds), func(i int) meas { return run(kinds[i]) })
 
 	rows := []Fig9Row{{
 		Mechanism: KindNone, PerIONS: 0,

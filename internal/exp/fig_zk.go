@@ -8,6 +8,7 @@ import (
 	"github.com/iocost-sim/iocost/internal/cgroup"
 	"github.com/iocost-sim/iocost/internal/ctl"
 	"github.com/iocost-sim/iocost/internal/device"
+	"github.com/iocost-sim/iocost/internal/fanout"
 	"github.com/iocost-sim/iocost/internal/sim"
 	"github.com/iocost-sim/iocost/internal/zk"
 )
@@ -41,7 +42,7 @@ func Fig16(opts Fig16Options) []Fig16Row {
 	}
 
 	kinds := CgroupKinds()
-	return ForEach(len(kinds), func(ki int) Fig16Row {
+	return fanout.ForEach(len(kinds), func(ki int) Fig16Row {
 		kind := kinds[ki]
 		eng := sim.New()
 		spec := device.EnterpriseSSD()

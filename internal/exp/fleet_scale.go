@@ -22,8 +22,8 @@ type FleetScaleOptions struct {
 	Ticks int
 	Seed  uint64
 	// Measure derives the failure curves from live per-host
-	// micro-simulations (MeasureCurve, expensive) instead of the canned
-	// fleet.DefaultCurves.
+	// micro-simulations (MeasuredFleetCurves, expensive) instead of the
+	// canned fleet.DefaultCurves.
 	Measure bool
 	// Trials per micro-simulation point when Measure is set; 0 selects 3.
 	Trials int
@@ -38,9 +38,8 @@ type FleetScaleOptions struct {
 	// Fidelity selects the per-host model (outcome curves, a sampled
 	// subset of full machines, or full machines everywhere); the zero
 	// value keeps the outcome model. Passed through to
-	// fleet.ClusterConfig.Fidelity — wire scenario.NewFleetHost (or the
-	// facade's NewFleetHost) as the machine factory; exp cannot import
-	// scenario itself.
+	// fleet.ClusterConfig.Fidelity — wire NewFleetHost as the machine
+	// factory.
 	Fidelity fleet.Fidelity
 }
 
@@ -61,7 +60,7 @@ func FleetScale(kind fleet.OpKind, opts FleetScaleOptions) (*fleet.Summary, erro
 		ticks = 8
 	}
 	workers := opts.Workers
-	if workers == 0 && ParallelEnabled() {
+	if workers == 0 && fanout.ParallelEnabled() {
 		workers = fanout.DefaultWorkers()
 	}
 	seed := opts.Seed
@@ -103,22 +102,6 @@ func FleetScale(kind fleet.OpKind, opts FleetScaleOptions) (*fleet.Summary, erro
 		}}
 	}
 	return fleet.RunCluster(cfg)
-}
-
-// MeasuredFleetCurves derives the old- and new-controller failure curves
-// from live per-host micro-simulations (the Figs 18/19 methodology), for
-// callers that want measured rather than canned cluster inputs. Trials <= 0
-// selects 3 per pressure point.
-func MeasuredFleetCurves(kind fleet.OpKind, trials int) (old, new_ fleet.Curve) {
-	if trials <= 0 {
-		trials = 3
-	}
-	pressures := []float64{0.3, 0.6, 0.8, 0.88, 0.95, 1.02, 1.1}
-	curveKinds := []string{KindIOLatency, KindIOCost}
-	curves := ForEach(2, func(i int) fleet.Curve {
-		return fleet.MeasureCurve(hostFactory(curveKinds[i]), kind, pressures, trials, 0x18+uint64(i))
-	})
-	return curves[0], curves[1]
 }
 
 // FormatFleetScale renders the cluster summary.

@@ -1,7 +1,8 @@
 // Full-fidelity fleet hosts: the fleet.MachineFactory that backs
-// `iocost-fleet -fidelity full|sampled`.
+// `iocost-fleet -fidelity full|sampled`, plus the fleet-op issuer both
+// they and the Figs 18/19 curve micro-simulations run operations through.
 //
-// Each host is a real exp.Machine — a seed-drawn device model (Figure 3's
+// Each host is a real Machine — a seed-drawn device model (Figure 3's
 // fleet SSDs plus the evaluation SSDs), a seed-drawn legacy controller
 // (mostly io.latency) that flips to iocost when the migration wave reaches
 // the host, and a two-cgroup workload mix (protected service vs best-effort
@@ -14,26 +15,25 @@
 // deadline.
 //
 // Determinism contract: a host is a pure function of (fleet seed, host ID).
-// Every draw comes from per-host streams derived under scenario-owned tags
+// Every draw comes from per-host streams derived under exp-owned tags
 // (disjoint from the fleet package's), storm draws come from a dedicated
 // stream consumed only under an active storm, and each host owns a private
 // engine — so fleets mixing full machines stay byte-identical at every
 // worker count.
-package scenario
+package exp
 
 import (
 	"github.com/iocost-sim/iocost/internal/bio"
 	"github.com/iocost-sim/iocost/internal/cgroup"
-	"github.com/iocost-sim/iocost/internal/exp"
 	"github.com/iocost-sim/iocost/internal/fleet"
 	"github.com/iocost-sim/iocost/internal/rng"
 	"github.com/iocost-sim/iocost/internal/sim"
 	"github.com/iocost-sim/iocost/internal/workload"
 )
 
-// Scenario-owned stream tags for full-fidelity fleet hosts. They must stay
-// disjoint from the fleet package's 0x705714c857_* selection tags — the
-// two tag spaces derive from the same fleet seed.
+// Stream tags for full-fidelity fleet hosts. They must stay disjoint from
+// the fleet package's 0x705714c857_* selection tags — the two tag spaces
+// derive from the same fleet seed.
 const (
 	fleetHostDrawTag  = 0x5cfe14057_000001 // device/controller/mix/pressure/probe draws
 	fleetHostStormTag = 0x5cfe14057_000002 // storm outcome draws
@@ -47,15 +47,16 @@ const (
 	// controller, small enough to run twenty per tick window.
 	probeScale = 24
 	// settleWindow lets the retargeted workload mix establish contention
-	// before the tick's probes are measured (fleet.RunOp settles too).
+	// before the tick's probes are measured (runOp settles too).
 	settleWindow = 50 * sim.Millisecond
 	// graceStep is the engine step while waiting out probe stragglers.
 	graceStep = 10 * sim.Millisecond
-	// readCapBps/writeCapBps define pressure 1.0, matching fleet.RunOp's
-	// pressure workload so both fidelities mean the same thing by "p".
+	// readCapBps/writeCapBps define pressure 1.0 for both the fleet hosts'
+	// bulk replayer and runOp's pressure workload, so both fidelities mean
+	// the same thing by "p".
 	readCapBps  = 450e6
 	writeCapBps = 120e6
-	// probeRegion is where probe IO lands (bulk and protected replayers
+	// probeRegion is where fleet-op IO lands (the workload replayers
 	// occupy the low offsets).
 	probeRegion = int64(1) << 41
 )
@@ -81,8 +82,8 @@ func NewFleetHost(spec fleet.HostSpec) fleet.HostModel {
 	}
 	// Construction-time draws, in fixed order regardless of configuration:
 	// device, legacy controller, workload mix.
-	h.dev = exp.FleetHostDevice(h.r)
-	h.legacyCtl = exp.FleetHostController(h.r)
+	h.dev = fleetHostDevice(h.r)
+	h.legacyCtl = fleetHostController(h.r)
 	h.protProf, h.bulkProf = workload.FleetHostMix(h.r)
 	return h
 }
@@ -92,12 +93,12 @@ type fleetHost struct {
 	r    *rng.Source // draw stream (construction, pressure, probes)
 	sr   *rng.Source // storm stream, consumed only under an active storm
 
-	dev       exp.DeviceChoice
+	dev       DeviceChoice
 	legacyCtl string
 	protProf  workload.DemandProfile
 	bulkProf  workload.DemandProfile
 
-	m        *exp.Machine
+	m        *Machine
 	migrated bool
 	rebuilds int
 	protCG   *cgroup.Node
@@ -118,11 +119,11 @@ type fleetHost struct {
 func (h *fleetHost) build(migrated bool) {
 	ctl := h.legacyCtl
 	if migrated {
-		ctl = exp.KindIOCost
+		ctl = KindIOCost
 	}
 	seed := rng.DeriveSeed(h.spec.Seed,
 		fleetHostBuildTag^mix64(uint64(h.spec.Host)+1)) + uint64(h.rebuilds)
-	h.m = exp.MustNewMachine(exp.MachineConfig{
+	h.m = MustNewMachine(MachineConfig{
 		Device:     h.dev,
 		Controller: ctl,
 		Seed:       seed,
@@ -161,8 +162,8 @@ func (h *fleetHost) retarget(p float64, tick int) {
 	h.bulk.Start()
 }
 
-// probeState tracks one in-flight probe operation.
-type probeState struct {
+// fleetOp tracks one in-flight fleet operation.
+type fleetOp struct {
 	start     sim.Time
 	issued    int
 	completed int
@@ -170,17 +171,22 @@ type probeState struct {
 	lat       sim.Time
 }
 
-// startProbe begins one scaled fleet operation in the probe cgroup.
-func (h *fleetHost) startProbe(p fleet.OpProbe, st *probeState, base int64, epoch int) {
-	eng := h.m.Eng
-	st.start = eng.Now()
+// startFleetOp issues operation p's chunks into cg on m, starting now:
+// p.Window chunks in flight, the next one issued as each completes, until
+// all p.Chunks are done. Sequential offsets count up from base; random
+// ones draw from r. live, if non-nil, is checked before each issue round:
+// once it reports false the operation stops issuing chunks and drawing
+// from r (a straggler from a settled tick).
+func startFleetOp(m *Machine, cg *cgroup.Node, p fleet.OpProbe, base int64, r *rng.Source, live func() bool) *fleetOp {
+	eng := m.Eng
+	st := &fleetOp{start: eng.Now()}
 	var flags bio.Flags
 	if p.Sync {
 		flags = bio.Sync
 	}
 	var pump func()
 	pump = func() {
-		if h.epoch != epoch {
+		if live != nil && !live() {
 			return
 		}
 		for st.issued-st.completed < p.Window && st.issued < p.Chunks {
@@ -190,11 +196,11 @@ func (h *fleetHost) startProbe(p fleet.OpProbe, st *probeState, base int64, epoc
 			}
 			off := base + int64(st.issued)*p.Chunk
 			if p.RandomOff {
-				off = base + h.r.Int63n(1<<30)
+				off = base + r.Int63n(1<<30)
 			}
 			st.issued++
-			h.m.Q.Submit(&bio.Bio{
-				Op: op, Flags: flags, Off: off, Size: p.Chunk, CG: h.probeCG,
+			m.Q.Submit(&bio.Bio{
+				Op: op, Flags: flags, Off: off, Size: p.Chunk, CG: cg,
 				OnDone: func(*bio.Bio) {
 					st.completed++
 					if st.completed == p.Chunks {
@@ -208,6 +214,7 @@ func (h *fleetHost) startProbe(p fleet.OpProbe, st *probeState, base int64, epoc
 		}
 	}
 	pump()
+	return st
 }
 
 // Tick runs one fleet tick: (re)build on migration flip, draw pressure,
@@ -229,7 +236,8 @@ func (h *fleetHost) Tick(env fleet.HostTickEnv, acc *fleet.Summary) fleet.HostTi
 	probe := h.spec.Kind.Probe(probeScale)
 	ops := h.spec.OpsPerHostTick
 	window := h.spec.Window
-	states := make([]probeState, ops)
+	states := make([]*fleetOp, ops)
+	live := func() bool { return h.epoch == epoch }
 	start := eng.Now()
 	spacing := window / sim.Time(ops)
 	probeSpan := int64(probe.Chunks) * probe.Chunk
@@ -237,21 +245,20 @@ func (h *fleetHost) Tick(env fleet.HostTickEnv, acc *fleet.Summary) fleet.HostTi
 		probeSpan = 1 << 30
 	}
 	for i := 0; i < ops; i++ {
-		st := &states[i]
 		base := probeRegion + int64(i)*probeSpan
 		eng.At(start+sim.Time(i)*spacing, func() {
-			h.startProbe(probe, st, base, epoch)
+			states[i] = startFleetOp(h.m, h.probeCG, probe, base, h.r, live)
 		})
 	}
 	eng.RunUntil(start + window)
 
 	// Grace: probes are judged at 3x their scaled deadline, the same
-	// timeout envelope fleet.RunOp gives the unscaled operation.
+	// timeout envelope runOp gives the unscaled operation.
 	graceEnd := start + window + 3*probe.Deadline
 	for eng.Now() < graceEnd {
 		done := true
-		for i := range states {
-			if !states[i].done {
+		for _, st := range states {
+			if !st.done {
 				done = false
 				break
 			}
@@ -269,8 +276,7 @@ func (h *fleetHost) Tick(env fleet.HostTickEnv, acc *fleet.Summary) fleet.HostTi
 	deadline := h.spec.Kind.Deadline()
 	timeoutNS := int64(3 * deadline)
 	healthyFails, stormFails := 0, 0
-	for i := range states {
-		st := &states[i]
+	for _, st := range states {
 		measured := 3 * probe.Deadline
 		if st.done && st.lat < measured {
 			measured = st.lat

@@ -188,32 +188,6 @@ type Machine struct {
 	Workload     *cgroup.Node
 }
 
-// Parameter derivation lives in internal/tune (the auto-tuner races its
-// candidates against exactly these configs). The aliases below are thin
-// delegates kept only for facade stability (iocost.go re-exports them):
-// in-repo code calls tune directly.
-
-// IdealParams is a thin delegate to tune.IdealSSDParams, kept for facade
-// stability: it derives linear cost-model parameters analytically from an
-// SSD spec — what a perfect profiling run measures. Experiments that care
-// about profiling fidelity use the profiler package instead.
-func IdealParams(spec device.SSDSpec) core.LinearParams { return tune.IdealSSDParams(spec) }
-
-// IdealHDDParams is a thin delegate to tune.IdealHDDParams, kept for
-// facade stability: cost-model parameters for the spinning disk.
-func IdealHDDParams(spec device.HDDSpec) core.LinearParams { return tune.IdealHDDParams(spec) }
-
-// IdealRemoteParams is a thin delegate to tune.IdealRemoteParams, kept for
-// facade stability: cost-model parameters for a cloud volume, whose
-// provisioned IOPS and throughput are the capability.
-func IdealRemoteParams(spec device.RemoteSpec) core.LinearParams {
-	return tune.IdealRemoteParams(spec)
-}
-
-// TunedQoS is a thin delegate to tune.HandTunedSSD, kept for facade
-// stability: §3.4-style QoS parameters for an SSD spec.
-func TunedQoS(spec device.SSDSpec) core.QoS { return tune.HandTunedSSD(spec) }
-
 // newIOCostController builds a standalone IOCost controller for an SSD with
 // ideal model parameters and tuned QoS, for experiments that assemble
 // multi-machine topologies by hand. Construction goes through the ctl

@@ -2,53 +2,11 @@ package exp
 
 import (
 	"reflect"
-	"sync/atomic"
 	"testing"
 
+	"github.com/iocost-sim/iocost/internal/fanout"
 	"github.com/iocost-sim/iocost/internal/sim"
 )
-
-func TestForEachIndexOrder(t *testing.T) {
-	SetParallel(true)
-	defer SetParallel(false)
-	out := ForEach(257, func(i int) int { return i * i })
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
-		}
-	}
-}
-
-func TestForEachRunsEveryCellOnce(t *testing.T) {
-	SetParallel(true)
-	defer SetParallel(false)
-	var calls [64]atomic.Int32
-	ForEach(len(calls), func(i int) struct{} {
-		calls[i].Add(1)
-		return struct{}{}
-	})
-	for i := range calls {
-		if n := calls[i].Load(); n != 1 {
-			t.Fatalf("cell %d ran %d times, want 1", i, n)
-		}
-	}
-}
-
-func TestForEachSerialWhenDisabled(t *testing.T) {
-	if ParallelEnabled() {
-		t.Fatal("parallel fan-out should be off by default")
-	}
-	// With fan-out off, cells run in order on the calling goroutine, so an
-	// unsynchronized counter is safe and must count up monotonically.
-	next := 0
-	ForEach(16, func(i int) struct{} {
-		if i != next {
-			t.Fatalf("serial ForEach ran cell %d before cell %d", i, next)
-		}
-		next++
-		return struct{}{}
-	})
-}
 
 // TestParallelMatchesSerial is the determinism contract behind
 // iocost-bench -parallel: every cell builds its own engine with fixed
@@ -61,8 +19,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 	serial11 := Fig11(opts)
 	serialPeriod := AblationPeriod(600 * sim.Millisecond)
 
-	SetParallel(true)
-	defer SetParallel(false)
+	fanout.SetParallel(true)
+	defer fanout.SetParallel(false)
 	par10 := Fig10(opts)
 	par11 := Fig11(opts)
 	parPeriod := AblationPeriod(600 * sim.Millisecond)

@@ -127,3 +127,45 @@ func TestForEachNMergeWindowBound(t *testing.T) {
 		t.Fatalf("cell claimed %d ahead of merge frontier, window is %d", lead, window)
 	}
 }
+
+func TestForEachIndexOrder(t *testing.T) {
+	fanout.SetParallel(true)
+	defer fanout.SetParallel(false)
+	out := fanout.ForEach(257, func(i int) int { return i * i })
+	for i, v := range out {
+		if v != i*i {
+			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
+		}
+	}
+}
+
+func TestForEachRunsEveryCellOnce(t *testing.T) {
+	fanout.SetParallel(true)
+	defer fanout.SetParallel(false)
+	var calls [64]atomic.Int32
+	fanout.ForEach(len(calls), func(i int) struct{} {
+		calls[i].Add(1)
+		return struct{}{}
+	})
+	for i := range calls {
+		if n := calls[i].Load(); n != 1 {
+			t.Fatalf("cell %d ran %d times, want 1", i, n)
+		}
+	}
+}
+
+func TestForEachSerialWhenDisabled(t *testing.T) {
+	if fanout.ParallelEnabled() {
+		t.Fatal("parallel fan-out should be off by default")
+	}
+	// With fan-out off, cells run in order on the calling goroutine, so an
+	// unsynchronized counter is safe and must count up monotonically.
+	next := 0
+	fanout.ForEach(16, func(i int) struct{} {
+		if i != next {
+			t.Fatalf("serial ForEach ran cell %d before cell %d", i, next)
+		}
+		next++
+		return struct{}{}
+	})
+}

@@ -254,6 +254,9 @@ func (c ClusterConfig) Validate() error {
 		return fmt.Errorf("fleet: negative cluster dimensions: hosts=%d rack=%d shardracks=%d ticks=%d",
 			c.Hosts, c.RackSize, c.ShardRacks, c.Ticks)
 	}
+	if c.OpsPerHostTick < 0 {
+		return fmt.Errorf("fleet: OpsPerHostTick must be non-negative, got %d", c.OpsPerHostTick)
+	}
 	if c.TickDur <= 0 {
 		return fmt.Errorf("fleet: TickDur must be positive, got %v", c.TickDur)
 	}
@@ -298,7 +301,8 @@ func (c ClusterConfig) Validate() error {
 // its curve jumps toward 1 above ~90% pressure, while iocost's guaranteed
 // hierarchy share keeps operations inside their deadlines at every
 // pressure. The non-IO failure floor (network flakes, bad packages) is
-// folded in. MeasureCurve regenerates these from live micro-sims.
+// folded in. exp.MeasuredFleetCurves regenerates these from live
+// micro-sims.
 func DefaultCurves(kind OpKind) (old, new_ Curve) {
 	pressures := []float64{0.3, 0.6, 0.8, 0.88, 0.95, 1.02, 1.1}
 	switch kind {

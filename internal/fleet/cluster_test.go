@@ -352,6 +352,7 @@ func TestRackEnumerationOrder(t *testing.T) {
 func TestClusterValidate(t *testing.T) {
 	bad := []fleet.ClusterConfig{
 		{Hosts: -1},
+		{OpsPerHostTick: -5},
 		{TickDur: -sim.Second},
 		{Push: &fleet.ConfigPush{CanaryFrac: 1.5}},
 		{Push: &fleet.ConfigPush{FailFactor: -1}},

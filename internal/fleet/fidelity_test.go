@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/iocost-sim/iocost/internal/exp"
 	"github.com/iocost-sim/iocost/internal/fleet"
-	"github.com/iocost-sim/iocost/internal/scenario"
 	"github.com/iocost-sim/iocost/internal/sim"
 )
 
@@ -18,7 +18,7 @@ func sampledConfig() fleet.ClusterConfig {
 	cfg.Fidelity = fleet.Fidelity{
 		Mode:       fleet.FidelitySampled,
 		SampleFrac: 0.05,
-		Machine:    scenario.NewFleetHost,
+		Machine:    exp.NewFleetHost,
 	}
 	return cfg
 }
@@ -105,7 +105,7 @@ func TestFullFidelityCalibrationOrdering(t *testing.T) {
 		Workers:        4,
 		Fidelity: fleet.Fidelity{
 			Mode:    fleet.FidelityFull,
-			Machine: scenario.NewFleetHost,
+			Machine: exp.NewFleetHost,
 		},
 	}
 	s := mustRun(t, cfg)
@@ -151,12 +151,12 @@ func TestFidelityValidation(t *testing.T) {
 		field string
 	}{
 		{"unknown mode", fleet.Fidelity{Mode: "hologram"}, "Mode"},
-		{"frac above one", fleet.Fidelity{Mode: fleet.FidelitySampled, SampleFrac: 1.5, Machine: scenario.NewFleetHost}, "SampleFrac"},
-		{"negative frac", fleet.Fidelity{Mode: fleet.FidelitySampled, SampleFrac: -0.1, Machine: scenario.NewFleetHost}, "SampleFrac"},
+		{"frac above one", fleet.Fidelity{Mode: fleet.FidelitySampled, SampleFrac: 1.5, Machine: exp.NewFleetHost}, "SampleFrac"},
+		{"negative frac", fleet.Fidelity{Mode: fleet.FidelitySampled, SampleFrac: -0.1, Machine: exp.NewFleetHost}, "SampleFrac"},
 		{"frac in outcome mode", fleet.Fidelity{Mode: fleet.FidelityOutcome, SampleFrac: 0.5}, "SampleFrac"},
-		{"frac in full mode", fleet.Fidelity{Mode: fleet.FidelityFull, SampleFrac: 0.5, Machine: scenario.NewFleetHost}, "SampleFrac"},
+		{"frac in full mode", fleet.Fidelity{Mode: fleet.FidelityFull, SampleFrac: 0.5, Machine: exp.NewFleetHost}, "SampleFrac"},
 		{"window in outcome mode", fleet.Fidelity{Mode: fleet.FidelityOutcome, Window: sim.Second}, "Window"},
-		{"negative window", fleet.Fidelity{Mode: fleet.FidelityFull, Window: -1, Machine: scenario.NewFleetHost}, "Window"},
+		{"negative window", fleet.Fidelity{Mode: fleet.FidelityFull, Window: -1, Machine: exp.NewFleetHost}, "Window"},
 		{"machine missing", fleet.Fidelity{Mode: fleet.FidelitySampled, SampleFrac: 0.1}, "Machine"},
 	}
 	for _, tc := range cases {

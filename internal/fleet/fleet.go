@@ -6,34 +6,19 @@
 // probability that a system-slice operation (package fetch, container
 // cleanup) fails under a given main-workload IO pressure and controller,
 // yielding failure-probability curves; a Monte-Carlo sweep then draws
-// per-host pressures for a region of hosts week by week as the migrated
+// per-host pressures for a region of hosts tick by tick as the migrated
 // fraction grows, producing the fleet-wide failure series the paper plots.
+// This package is the Monte-Carlo and cluster layer: the operations, their
+// curves and the sharded sweep (RunCluster). The micro-simulations run on
+// real machines, which sit above it in internal/exp.
 package fleet
 
 import (
 	"sort"
 
-	"github.com/iocost-sim/iocost/internal/bio"
-	"github.com/iocost-sim/iocost/internal/blk"
-	"github.com/iocost-sim/iocost/internal/cgroup"
 	"github.com/iocost-sim/iocost/internal/rng"
 	"github.com/iocost-sim/iocost/internal/sim"
-	"github.com/iocost-sim/iocost/internal/stats"
-	"github.com/iocost-sim/iocost/internal/workload"
 )
-
-// Host is one machine's IO stack as fleet experiments see it: the block
-// queue plus the three top-level slices of the production hierarchy
-// (Figure 1).
-type Host struct {
-	Q            *blk.Queue
-	System       *cgroup.Node
-	HostCritical *cgroup.Node
-	Workload     *cgroup.Node
-}
-
-// HostFactory builds a fresh host with some controller on a fresh engine.
-type HostFactory func(eng *sim.Engine, seed uint64) Host
 
 // OpKind selects the system-slice operation under test.
 type OpKind int
@@ -54,13 +39,13 @@ func (o OpKind) String() string {
 	return "container-cleanup"
 }
 
-// opSpec describes the operation and its failure threshold.
+// opSpec describes the operation and its failure threshold. Every chunk is
+// a write, except the fetch's verification half (see OpKind.Probe).
 type opSpec struct {
 	chunk    int64
 	chunks   int
-	window   int // concurrent chunks in flight
-	op       bio.Op
-	flags    bio.Flags
+	window   int  // concurrent chunks in flight
+	sync     bool // synchronous writes
 	deadline sim.Time
 	system   bool // run in System (true) or HostCritical (false)
 	// baseFail is the operation's non-IO failure floor (network flakes,
@@ -74,87 +59,14 @@ func specFor(kind OpKind) opSpec {
 	case PackageFetch:
 		// 96MiB downloaded (written) then verified (read) in 512KiB
 		// chunks with writeback-style parallelism, within 10s.
-		return opSpec{chunk: 512 << 10, chunks: 96 * 2, window: 8, op: bio.Write,
+		return opSpec{chunk: 512 << 10, chunks: 96 * 2, window: 8,
 			deadline: 10 * sim.Second, system: true, baseFail: 0.009}
 	default:
 		// 480 16KiB synchronous metadata writes, a few in flight, within
 		// 5s (the paper's 5s stall threshold).
-		return opSpec{chunk: 16 << 10, chunks: 480, window: 4, op: bio.Write, flags: bio.Sync,
+		return opSpec{chunk: 16 << 10, chunks: 480, window: 4, sync: true,
 			deadline: 5 * sim.Second, system: false, baseFail: 0.055}
 	}
-}
-
-// RunOp executes one operation on a freshly built host whose main workload
-// exerts the given pressure (fraction of device random-read capacity plus
-// proportional write load). It returns the operation's completion time, or
-// a value beyond the deadline if it did not finish in the simulated window.
-func RunOp(factory HostFactory, kind OpKind, pressure float64, seed uint64) (sim.Time, bool) {
-	eng := sim.New()
-	h := factory(eng, seed)
-	spec := specFor(kind)
-
-	// Main workload pressure: open-loop random reads plus buffered
-	// writes scaled to the requested fraction of device capability.
-	job := h.Workload.NewChild("job", cgroup.DefaultWeight)
-	rd := workload.NewReplayer(h.Q, job, workload.DemandProfile{
-		Name:          "pressure",
-		ReadBps:       pressure * 450e6,
-		WriteBps:      pressure * 120e6,
-		ReadRandFrac:  0.8,
-		WriteRandFrac: 0.3,
-		IOSize:        16 << 10,
-	}, 0, seed^0xf1ee7)
-	rd.Start()
-
-	// Let contention establish.
-	eng.RunUntil(500 * sim.Millisecond)
-
-	cg := h.HostCritical
-	if spec.system {
-		cg = h.System
-	}
-	agent := cg.NewChild("op", cgroup.DefaultWeight)
-
-	start := eng.Now()
-	var finished sim.Time
-	done := false
-	issued, completed := 0, 0
-	rnd := rng.Derive(seed, 0x09)
-	var pump func()
-	pump = func() {
-		for issued-completed < spec.window && issued < spec.chunks {
-			op := spec.op
-			off := int64(1)<<41 + int64(issued)*spec.chunk
-			if kind == PackageFetch && issued >= spec.chunks/2 {
-				op = bio.Read // verification pass
-			}
-			if kind == ContainerCleanup {
-				off = int64(1)<<41 + rnd.Int63n(1<<30)
-			}
-			issued++
-			h.Q.Submit(&bio.Bio{
-				Op: op, Flags: spec.flags, Off: off, Size: spec.chunk, CG: agent,
-				OnDone: func(*bio.Bio) {
-					completed++
-					if completed == spec.chunks {
-						finished = eng.Now() - start
-						done = true
-						return
-					}
-					pump()
-				},
-			})
-		}
-	}
-	pump()
-
-	// Simulate up to 3x the deadline.
-	eng.RunUntil(start + 3*spec.deadline)
-	rd.Stop()
-	if !done {
-		return 3 * spec.deadline, false
-	}
-	return finished, finished <= spec.deadline
 }
 
 // Curve maps workload pressure to operation failure probability.
@@ -162,26 +74,6 @@ type Curve struct {
 	Kind      OpKind
 	Pressures []float64
 	FailProb  []float64
-}
-
-// MeasureCurve builds a failure-probability curve by running trials at each
-// pressure level.
-func MeasureCurve(factory HostFactory, kind OpKind, pressures []float64, trials int, seed uint64) Curve {
-	c := Curve{Kind: kind, Pressures: append([]float64(nil), pressures...)}
-	sort.Float64s(c.Pressures)
-	base := specFor(kind).baseFail
-	for _, p := range c.Pressures {
-		fails := 0
-		for t := 0; t < trials; t++ {
-			_, ok := RunOp(factory, kind, p, seed+uint64(t)*7919+uint64(p*1000))
-			if !ok {
-				fails++
-			}
-		}
-		ioFail := float64(fails) / float64(trials)
-		c.FailProb = append(c.FailProb, ioFail+(1-ioFail)*base)
-	}
-	return c
 }
 
 // At interpolates the failure probability at pressure p.
@@ -202,30 +94,7 @@ func (c Curve) At(p float64) float64 {
 	return y0 + (y1-y0)*(p-x0)/(x1-x0)
 }
 
-// MigrationConfig parameterizes the region sweep.
-type MigrationConfig struct {
-	Hosts int // hosts in the region
-	Weeks int // duration of the migration
-	// OpsPerHostWeek is how many operations of the kind each host
-	// performs per week.
-	OpsPerHostWeek int
-	Seed           uint64
-}
-
-func (m MigrationConfig) withDefaults() MigrationConfig {
-	if m.Hosts == 0 {
-		m.Hosts = 2000
-	}
-	if m.Weeks == 0 {
-		m.Weeks = 8
-	}
-	if m.OpsPerHostWeek == 0 {
-		m.OpsPerHostWeek = 20
-	}
-	return m
-}
-
-// drawPressure samples a host-week's main-workload IO pressure: mostly
+// drawPressure samples a host-tick's main-workload IO pressure: mostly
 // moderate, with a contended tail.
 func drawPressure(r *rng.Source) float64 {
 	switch {
@@ -236,30 +105,4 @@ func drawPressure(r *rng.Source) float64 {
 	default:
 		return 0.95 + 0.15*r.Float64()
 	}
-}
-
-// MigrationSweep simulates the region migrating from the old controller's
-// curve to the new one, returning weekly fleet-wide failure counts. Week w
-// has fraction w/(Weeks-1) of hosts migrated.
-func MigrationSweep(old, new_ Curve, cfg MigrationConfig) *stats.Series {
-	cfg = cfg.withDefaults()
-	r := rng.Derive(cfg.Seed, 0xf1e7)
-	s := &stats.Series{Name: old.Kind.String() + "-failures"}
-	for w := 0; w < cfg.Weeks; w++ {
-		migrated := float64(w) / float64(cfg.Weeks-1)
-		fails := 0
-		for h := 0; h < cfg.Hosts; h++ {
-			curve := old
-			if float64(h)/float64(cfg.Hosts) < migrated {
-				curve = new_
-			}
-			for op := 0; op < cfg.OpsPerHostWeek; op++ {
-				if r.Bool(curve.At(drawPressure(r))) {
-					fails++
-				}
-			}
-		}
-		s.Add(float64(w), float64(fails))
-	}
-	return s
 }

@@ -3,44 +3,8 @@ package fleet_test
 import (
 	"testing"
 
-	"github.com/iocost-sim/iocost/internal/blk"
-	"github.com/iocost-sim/iocost/internal/cgroup"
-	"github.com/iocost-sim/iocost/internal/ctl"
-	"github.com/iocost-sim/iocost/internal/device"
 	"github.com/iocost-sim/iocost/internal/fleet"
-	"github.com/iocost-sim/iocost/internal/sim"
-	"github.com/iocost-sim/iocost/internal/stats"
 )
-
-// passthroughHost builds hosts with no cgroup IO control.
-func passthroughHost(eng *sim.Engine, seed uint64) fleet.Host {
-	dev := device.NewSSD(eng, device.OlderGenSSD(), seed)
-	q := blk.New(eng, dev, ctl.NewNone(), 0)
-	h := cgroup.NewHierarchy()
-	return fleet.Host{
-		Q:            q,
-		System:       h.Root().NewChild("system", 50),
-		HostCritical: h.Root().NewChild("hostcritical", 100),
-		Workload:     h.Root().NewChild("workload", 850),
-	}
-}
-
-func TestRunOpCompletesOnIdleHost(t *testing.T) {
-	for _, kind := range []fleet.OpKind{fleet.PackageFetch, fleet.ContainerCleanup} {
-		d, ok := fleet.RunOp(passthroughHost, kind, 0.1, 7)
-		if !ok {
-			t.Errorf("%v failed on a nearly idle host (took %v)", kind, d)
-		}
-	}
-}
-
-func TestPressureSlowsOps(t *testing.T) {
-	light, _ := fleet.RunOp(passthroughHost, fleet.PackageFetch, 0.1, 7)
-	heavy, _ := fleet.RunOp(passthroughHost, fleet.PackageFetch, 1.05, 7)
-	if heavy <= light {
-		t.Errorf("pressure did not slow the fetch: light=%v heavy=%v", light, heavy)
-	}
-}
 
 func TestCurveInterpolation(t *testing.T) {
 	c := fleet.Curve{
@@ -61,26 +25,38 @@ func TestCurveInterpolation(t *testing.T) {
 	}
 }
 
+// TestMigrationSweepMonotoneWithBetterCurve: a week-aligned wave (none of
+// the hosts migrated in week 0, all of them in the last week) from a flat
+// 0.2 curve to a flat 0.02 one cuts failures about 10x, trending down.
 func TestMigrationSweepMonotoneWithBetterCurve(t *testing.T) {
 	old := fleet.Curve{Pressures: []float64{0, 2}, FailProb: []float64{0.2, 0.2}}
 	new_ := fleet.Curve{Pressures: []float64{0, 2}, FailProb: []float64{0.02, 0.02}}
-	s := fleet.MigrationSweep(old, new_, fleet.MigrationConfig{Hosts: 3000, Weeks: 6, Seed: 5})
-	if s.Len() != 6 {
-		t.Fatalf("series has %d points", s.Len())
+	s, err := fleet.RunCluster(fleet.ClusterConfig{
+		Hosts: 3000, Ticks: 6, Seed: 5, Old: old, New: new_,
+		Migration: &fleet.MigrationWave{StartTick: 1, Ticks: 5},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	first, last := s.Y[0], s.Y[s.Len()-1]
+	if len(s.PerTick) != 6 {
+		t.Fatalf("series has %d points", len(s.PerTick))
+	}
+	fails := make([]float64, len(s.PerTick))
+	for i, ts := range s.PerTick {
+		fails[i] = float64(ts.Fails)
+	}
+	first, last := fails[0], fails[len(fails)-1]
 	if last >= first/5 {
 		t.Errorf("migration to a 10x-better curve only reduced failures %vx", first/last)
 	}
 	// Roughly monotone decreasing (Monte-Carlo noise allowed).
 	ups := 0
-	for i := 1; i < s.Len(); i++ {
-		if s.Y[i] > s.Y[i-1]*1.15 {
+	for i := 1; i < len(fails); i++ {
+		if fails[i] > fails[i-1]*1.15 {
 			ups++
 		}
 	}
 	if ups > 1 {
-		t.Errorf("failure series not trending down: %v", s.Y)
+		t.Errorf("failure series not trending down: %v", fails)
 	}
-	var _ *stats.Series = s
 }

@@ -8,7 +8,7 @@
 //     a controller failure curve, the Figs 18/19 Monte-Carlo — cheap enough
 //     for a million hosts;
 //
-//   - the full-machine model (scenario.NewFleetHost): a real exp.Machine —
+//   - the full-machine model (exp.NewFleetHost): a real exp.Machine —
 //     device model, one of the seven controllers, a workload mix — stepped
 //     in virtual-time tick windows, with scaled probe operations standing
 //     in for the fleet op. It lives outside this package because exp
@@ -105,7 +105,7 @@ type HostSpec struct {
 }
 
 // MachineFactory builds the full-fidelity model for one host. The standard
-// implementation is scenario.NewFleetHost; it is injected here (rather
+// implementation is exp.NewFleetHost; it is injected here (rather
 // than imported) because the machine stack (internal/exp) sits above this
 // package in the import graph.
 type MachineFactory func(spec HostSpec) HostModel
@@ -162,7 +162,7 @@ type Fidelity struct {
 	// 250ms, clamped to TickDur). It must be zero in outcome mode.
 	Window sim.Time
 	// Machine builds full-fidelity hosts; required unless Mode is
-	// outcome. Wire scenario.NewFleetHost (or iocost.NewFleetHost).
+	// outcome. Wire exp.NewFleetHost (or iocost.NewFleetHost).
 	Machine MachineFactory
 }
 
@@ -219,7 +219,7 @@ func (f Fidelity) validate() error {
 	}
 	if f.enabled() && f.Machine == nil {
 		return &FidelityError{Field: "Machine",
-			Reason: "no MachineFactory configured (wire scenario.NewFleetHost)"}
+			Reason: "no MachineFactory configured (wire exp.NewFleetHost)"}
 	}
 	return nil
 }
@@ -330,7 +330,7 @@ func (o OpKind) Probe(scale int) OpProbe {
 		Chunk:     spec.chunk,
 		Chunks:    chunks,
 		Window:    min(spec.window, chunks),
-		Sync:      spec.flags != 0,
+		Sync:      spec.sync,
 		ReadHalf:  o == PackageFetch,
 		RandomOff: o != PackageFetch,
 		System:    spec.system,

@@ -94,7 +94,7 @@ func Tune(spec device.SSDSpec, opts TuneOptions) TuneResult {
 	}
 
 	// Latency targets: a small multiple of the loaded operating points,
-	// as in exp.TunedQoS.
+	// as in tune.HandTunedSSD.
 	unloadedR := float64(spec.RandReadNS)
 	if bw := 4096 * float64(spec.Parallelism) / spec.ReadBps * 1e9; bw > unloadedR {
 		unloadedR = bw

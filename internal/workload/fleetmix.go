@@ -13,8 +13,8 @@ func FleetHostMix(r *rng.Source) (protected, bulk DemandProfile) {
 	protected = profs[r.Intn(3)] // web-a, web-b or serverless
 	bulk = DemandProfile{
 		Name: "bulk",
-		// The same shape RunOp's pressure workload uses: mostly-random
-		// reads plus buffered writes at 16KiB.
+		// The same shape as the Figs 18/19 micro-sims' pressure workload:
+		// mostly-random reads plus buffered writes at 16KiB.
 		ReadRandFrac:  0.8,
 		WriteRandFrac: 0.3,
 		IOSize:        16 << 10,

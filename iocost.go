@@ -40,7 +40,6 @@ import (
 	"github.com/iocost-sim/iocost/internal/profiler"
 	"github.com/iocost-sim/iocost/internal/rcb"
 	"github.com/iocost-sim/iocost/internal/registry"
-	"github.com/iocost-sim/iocost/internal/scenario"
 	"github.com/iocost-sim/iocost/internal/sim"
 	"github.com/iocost-sim/iocost/internal/slo"
 	"github.com/iocost-sim/iocost/internal/span"
@@ -174,10 +173,10 @@ func MustLinearModel(p LinearParams) *LinearModel { return core.MustLinearModel(
 func DefaultQoS() QoS { return core.DefaultQoS() }
 
 // TunedQoS derives §3.4-style QoS parameters for an SSD.
-var TunedQoS = exp.TunedQoS
+var TunedQoS = tune.HandTunedSSD
 
 // IdealParams derives cost-model parameters analytically from an SSD spec.
-var IdealParams = exp.IdealParams
+var IdealParams = tune.IdealSSDParams
 
 // Cgroups.
 type (
@@ -549,6 +548,6 @@ const (
 // a -fidelity style mode name.
 var (
 	RunFleet           = fleet.RunCluster
-	NewFleetHost       = scenario.NewFleetHost
+	NewFleetHost       = exp.NewFleetHost
 	ParseFleetFidelity = fleet.ParseFidelityMode
 )

@@ -84,6 +84,9 @@ for bad in \
 	"./cmd/iocost-fleet -fidelity nosuch" \
 	"./cmd/iocost-fleet -fidelity sampled -sample-frac 2" \
 	"./cmd/iocost-fleet -sample-frac 0.5" \
+	"./cmd/iocost-fleet -ops -5" \
+	"./cmd/iocost-fleet -ticks 0" \
+	"./cmd/iocost-fleet -measure -trials -2" \
 	"./cmd/iocost-tune -device nosuch" \
 	"./cmd/iocost-tune -device hdd -scenario fleet-a"; do
 	if go run $bad >/dev/null 2>&1; then
