@@ -74,6 +74,9 @@ type Engine struct {
 	// higher-level mutation. See popNext.
 	tHi     Time
 	hiDirty bool
+
+	// parked holds the pacers whose pending tick is virtual (pacer.go).
+	parked []*Pacer
 }
 
 // New returns an empty engine at time zero.
@@ -84,12 +87,14 @@ func New() *Engine {
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// EventsRun reports how many events have executed so far.
+// EventsRun reports how many events have executed so far. Ticks a parked
+// Pacer runs virtually are not counted (see Pacer.Skipped).
 func (e *Engine) EventsRun() uint64 { return e.nrun }
 
-// Pending reports how many live events are scheduled. Cancelled events are
-// removed immediately and do not count.
-func (e *Engine) Pending() int { return e.count }
+// Pending reports how many live events are scheduled, a parked pacer's
+// pending tick included. Cancelled events are removed immediately and do
+// not count.
+func (e *Engine) Pending() int { return e.count + len(e.parked) }
 
 // StillTail reports whether id refers to a pending event that sits in the
 // wheel's bottom level as the last event of its instant. A level-0 slot
@@ -98,13 +103,21 @@ func (e *Engine) Pending() int { return e.count }
 // after its callback — piggybacking on it is indistinguishable from
 // scheduling a fresh event at the same instant. Events parked on coarser
 // levels or in the overflow heap return false (their slots are unordered),
-// as do events that already ran or were cancelled.
+// as do events that already ran or were cancelled, and events followed at
+// their instant by a parked pacer's pending tick, which a real tick would
+// have followed in the same slot.
 func (e *Engine) StillTail(id EventID) bool {
 	ev := id.e
 	if ev == nil || ev.gen != id.gen || ev.level != 0 {
 		return false
 	}
-	h := ev.owner.wheel0[ev.slotIdx]
+	o := ev.owner
+	for _, p := range o.parked {
+		if p.at == ev.at && p.seq > ev.seq {
+			return false
+		}
+	}
+	h := o.wheel0[ev.slotIdx]
 	return h != nil && h.prev == ev
 }
 
@@ -201,9 +214,15 @@ func (e *Engine) run(ev *event) {
 	fn()
 }
 
-// Step runs the next event. It reports false when the queue is empty.
+// Step runs the next event, advancing parked pacers past their ticks before
+// it. It reports false when no event is pending apart from parked ticks.
 func (e *Engine) Step() bool {
-	ev := e.popNext(maxTime)
+	var ev *event
+	if len(e.parked) == 0 {
+		ev = e.popNext(maxTime)
+	} else {
+		ev = e.popParked(maxTime)
+	}
 	if ev == nil {
 		return false
 	}
@@ -211,11 +230,16 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// RunUntil executes events up to and including deadline, then advances the
-// clock to exactly deadline.
+// RunUntil executes events up to and including deadline, parked pacers'
+// ticks included, then advances the clock to exactly deadline.
 func (e *Engine) RunUntil(deadline Time) {
 	for {
-		ev := e.popNext(deadline)
+		var ev *event
+		if len(e.parked) == 0 {
+			ev = e.popNext(deadline)
+		} else {
+			ev = e.popParked(deadline)
+		}
 		if ev == nil {
 			break
 		}
@@ -226,7 +250,8 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 }
 
-// Run executes events until the queue drains.
+// Run executes events until the queue drains. A parked pacer's ticks run
+// only ahead of real events, so one left parked stays pending.
 func (e *Engine) Run() {
 	for e.Step() {
 	}

@@ -377,7 +377,8 @@ func (e *Engine) cascade(l, idx int) {
 
 // popNext removes and returns the earliest pending event if its time is at
 // most limit; otherwise it returns nil, leaving the cursor advanced to
-// limit (when finite) so later bucketing stays tight.
+// limit (when finite) so later bucketing stays tight. It ignores parked
+// pacers; callers go through popParked while any is parked (pacer.go).
 func (e *Engine) popNext(limit Time) *event {
 	if e.count == 0 {
 		if limit != maxTime {

@@ -31,15 +31,14 @@ type LoadShedder struct {
 
 	winLat *stats.Histogram
 	Stats  *Stats
-	// Shed counts issue slots skipped because the in-flight cap was hit —
-	// demand the service turned away.
-	Shed uint64
+	shed   uint64
 
-	stopped bool
-	// onDone/tickFn are built once so the pacing loop allocates no
-	// closures.
+	// adj drives adjust; pacer issues on the 1/rate grid and parks while
+	// the in-flight cap holds, so the shed ticks cost nothing.
+	adj   *sim.Ticker
+	pacer *sim.Pacer
+	// onDone is built once so completions allocate no closures.
 	onDone func(*bio.Bio)
-	tickFn func()
 }
 
 // LoadShedderConfig configures a LoadShedder.
@@ -99,10 +98,7 @@ func NewLoadShedder(q *blk.Queue, cfg LoadShedderConfig) *LoadShedder {
 		w.inflight--
 		w.Stats.observe(b)
 		w.winLat.Observe(int64(b.Latency()))
-	}
-	w.tickFn = func() {
-		w.issueOne()
-		w.issueNext()
+		w.pacer.Resume()
 	}
 	return w
 }
@@ -110,33 +106,46 @@ func NewLoadShedder(q *blk.Queue, cfg LoadShedderConfig) *LoadShedder {
 // Rate returns the current issue rate in IO/s.
 func (w *LoadShedder) Rate() float64 { return w.rate }
 
-// Start begins issuing and latency-driven rate adjustment.
-func (w *LoadShedder) Start() {
-	w.q.Engine().NewTicker(w.window, w.adjust)
-	w.issueNext()
+// Shed counts issue slots skipped because the in-flight cap was hit —
+// demand the service turned away. Slots the pacer skipped while parked
+// count too.
+func (w *LoadShedder) Shed() uint64 {
+	if w.pacer == nil {
+		return w.shed
+	}
+	return w.shed + w.pacer.Skipped()
 }
 
-// Stop ceases issuing.
-func (w *LoadShedder) Stop() { w.stopped = true }
+// Start begins issuing and latency-driven rate adjustment.
+func (w *LoadShedder) Start() {
+	eng := w.q.Engine()
+	w.adj = eng.NewTicker(w.window, w.adjust)
+	w.pacer = eng.NewPacer(w.gap(), w.issue)
+}
 
-func (w *LoadShedder) issueNext() {
-	if w.stopped {
-		return
+// Stop ceases issuing and rate adjustment; IO in flight still completes.
+func (w *LoadShedder) Stop() {
+	if w.pacer != nil {
+		w.adj.Stop()
+		w.pacer.Stop()
 	}
+}
+
+// gap is the issue interval at the current rate.
+func (w *LoadShedder) gap() sim.Time {
 	gap := sim.Time(1e9 / w.rate)
 	if gap < 1 {
 		gap = 1
 	}
-	w.q.Engine().After(gap, w.tickFn)
+	return gap
 }
 
-func (w *LoadShedder) issueOne() {
-	if w.stopped {
-		return
-	}
+// issue is one pacing tick. It reports idle while the in-flight cap holds:
+// every tick until a completion would only shed.
+func (w *LoadShedder) issue() (idle bool) {
 	if w.inflight >= w.maxInfl {
-		w.Shed++
-		return
+		w.shed++
+		return true
 	}
 	w.inflight++
 	b := w.q.BioPool().Get()
@@ -147,12 +156,10 @@ func (w *LoadShedder) issueOne() {
 	b.CG = w.cg
 	b.OnDone = w.onDone
 	w.q.Submit(b)
+	return w.inflight >= w.maxInfl
 }
 
 func (w *LoadShedder) adjust() {
-	if w.stopped {
-		return
-	}
 	if w.winLat.Count() == 0 {
 		// No completions at all: the device is unresponsive; shed hard.
 		w.rate *= 0.5
@@ -170,5 +177,6 @@ func (w *LoadShedder) adjust() {
 	if w.rate > w.maxRate {
 		w.rate = w.maxRate
 	}
+	w.pacer.SetGap(w.gap())
 	w.winLat.Reset()
 }

@@ -113,6 +113,53 @@ func TestLoadShedderBacksOffUnderImpossibleTarget(t *testing.T) {
 	}
 }
 
+// TestLoadShedderShedCount pins the shed count, completions and tail of a
+// shedder held at a small in-flight cap. The values are those of a shedder
+// that schedules every pacing tick as a real event, so parking the at-cap
+// ticks changed no output; the engine ran most of them virtually.
+func TestLoadShedderShedCount(t *testing.T) {
+	eng, q, cg := newRig(t)
+	w := workload.NewLoadShedder(q, workload.LoadShedderConfig{
+		CG: cg, Op: bio.Read, Pattern: workload.Random, Size: 4096,
+		Target: 200 * sim.Microsecond, MaxInFlight: 4, Seed: 1,
+	})
+	w.Start()
+	eng.RunUntil(2 * sim.Second)
+	if got, want := w.Shed(), uint64(459527); got != want {
+		t.Errorf("Shed() = %d, want %d", got, want)
+	}
+	if got, want := w.Stats.Done, uint64(52547); got != want {
+		t.Errorf("completions = %d, want %d", got, want)
+	}
+	if got, want := w.Stats.Latency.Quantile(0.99), int64(139264); got != want {
+		t.Errorf("p99 = %d, want %d", got, want)
+	}
+	if eng.EventsRun() >= w.Shed() {
+		t.Errorf("%d events ran for %d shed ticks: the at-cap ticks did not park", eng.EventsRun(), w.Shed())
+	}
+}
+
+// TestLoadShedderStopDrains checks that Stop ends both the pacing ticks and
+// the rate-adjustment ticker, so the engine drains once IO in flight
+// completes.
+func TestLoadShedderStopDrains(t *testing.T) {
+	eng, q, cg := newRig(t)
+	w := workload.NewLoadShedder(q, workload.LoadShedderConfig{
+		CG: cg, Op: bio.Read, Pattern: workload.Random, Size: 4096,
+		Target: 200 * sim.Microsecond, MaxInFlight: 4, Seed: 1,
+	})
+	w.Start()
+	eng.RunUntil(100 * sim.Millisecond)
+	w.Stop()
+	eng.Run()
+	if n := eng.Pending(); n != 0 {
+		t.Errorf("Pending() = %d after Stop and Run, want 0", n)
+	}
+	if n := q.InFlight(); n != 0 {
+		t.Errorf("%d IOs still in flight after Run", n)
+	}
+}
+
 func TestReplayerApproximatesDemand(t *testing.T) {
 	eng, q, cg := newRig(t)
 	p := workload.DemandProfile{

@@ -116,6 +116,12 @@ if $tier3; then
 	# sanitizer and drain checks against live error/retry/timeout paths.
 	make fuzz-smoke-faults
 
+	echo "== pacer fuzz (20s)"
+	# Random event storms with parked pacers must run every real event in
+	# the same order, with the same seqs, as when every pacing tick is a
+	# real event.
+	go test ./internal/sim -run '^$' -fuzz '^FuzzPacerStorm$' -fuzztime 20s
+
 	echo "== go test -tags sanitizer ./..."
 	# The sanitizer wraps every controller with the invariant checker, so
 	# this pass runs the entire suite and every experiment with life-cycle,
