@@ -1,4 +1,4 @@
-package exp
+package main
 
 import (
 	"fmt"
@@ -14,17 +14,8 @@ import (
 // hand-tuned config — the "operate them" counterpart to the paper's
 // hand-tuning narrative.
 
-// AutoTuneOptions parameterizes the bench row.
-type AutoTuneOptions struct {
-	Seed uint64
-	// Short shrinks the search for smoke runs.
-	Short bool
-	// Workers is the candidate fan-out width; 0 selects serial.
-	Workers int
-}
-
-// AutoTuneRow is one (scenario, config) comparison line.
-type AutoTuneRow struct {
+// autoTuneRow is one (scenario, config) comparison line.
+type autoTuneRow struct {
 	Scenario  string
 	Config    string // "auto", "hand", "default"
 	QoS       string
@@ -34,21 +25,19 @@ type AutoTuneRow struct {
 	VrateMean float64
 }
 
-// AutoTune runs the tuner on the comparison scenarios and returns rows in
-// (scenario, auto/hand/default) order.
-func AutoTune(opts AutoTuneOptions) []AutoTuneRow {
-	sopts := tune.Options{
-		Seed:    opts.Seed,
-		Workers: opts.Workers,
-	}
-	if opts.Short {
+// autoTune runs the tuner (seed 42, four candidate workers) on the
+// comparison scenarios and returns rows in (scenario, auto/hand/default)
+// order. short shrinks the search for smoke runs.
+func autoTune(short bool) []autoTuneRow {
+	sopts := tune.Options{Seed: 42, Workers: 4}
+	if short {
 		sopts.Candidates = 8
 		sopts.Window = 250 * sim.Millisecond
 		sopts.Warmup = 150 * sim.Millisecond
 		sopts.HillRounds = 1
 		sopts.HillNeighbors = 3
 	}
-	var rows []AutoTuneRow
+	var rows []autoTuneRow
 	for _, sc := range []tune.Scenario{tune.FleetA(), tune.HDD()} {
 		res, err := tune.Search(sc, sopts)
 		if err != nil {
@@ -58,7 +47,7 @@ func AutoTune(opts AutoTuneOptions) []AutoTuneRow {
 			name string
 			cand tune.Candidate
 		}{{"auto", res.Best}, {"hand", res.HandTuned}, {"default", res.Baseline}} {
-			rows = append(rows, AutoTuneRow{
+			rows = append(rows, autoTuneRow{
 				Scenario:  sc.Name,
 				Config:    c.name,
 				QoS:       c.cand.QoS.String(),
@@ -72,8 +61,8 @@ func AutoTune(opts AutoTuneOptions) []AutoTuneRow {
 	return rows
 }
 
-// FormatAutoTune renders the comparison table.
-func FormatAutoTune(rows []AutoTuneRow) string {
+// formatAutoTune renders the comparison table.
+func formatAutoTune(rows []autoTuneRow) string {
 	var b strings.Builder
 	b.WriteString("auto-tuned vs hand-tuned QoS (objective: bulk throughput s.t. protected p99)\n")
 	fmt.Fprintf(&b, "%-10s %-8s %10s %9s %11s %7s  %s\n",

@@ -93,8 +93,8 @@ var experiments = []experiment{
 		func(short bool) string { return exp.FormatExtFaults(exp.ExtFaults(extFaultsOpts(short))) },
 		func(short bool) any { return exp.ExtFaults(extFaultsOpts(short)) }},
 	{"tune", "Extension: closed-loop QoS auto-tuning vs hand-tuned (internal/tune)",
-		func(short bool) string { return exp.FormatAutoTune(exp.AutoTune(autoTuneOpts(short))) },
-		func(short bool) any { return exp.AutoTune(autoTuneOpts(short)) }},
+		func(short bool) string { return formatAutoTune(autoTune(short)) },
+		func(short bool) any { return autoTune(short) }},
 	{"ablations", "Ablations: donation, merging, planning period, cost model",
 		func(short bool) string {
 			d := ablationDur(short)
@@ -192,10 +192,6 @@ func extFaultsOpts(short bool) exp.ExtFaultsOptions {
 		return exp.ExtFaultsOptions{Phase: 4 * sim.Second}
 	}
 	return exp.ExtFaultsOptions{}
-}
-
-func autoTuneOpts(short bool) exp.AutoTuneOptions {
-	return exp.AutoTuneOptions{Seed: 42, Short: short, Workers: 4}
 }
 
 func extDegOpts(short bool) exp.ExtDegradationOptions {

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"github.com/iocost-sim/iocost/internal/cli"
-	"github.com/iocost-sim/iocost/internal/device"
 	"github.com/iocost-sim/iocost/internal/exp"
 	"github.com/iocost-sim/iocost/internal/sim"
 	"github.com/iocost-sim/iocost/internal/tune"
@@ -140,19 +139,13 @@ func deviceScenario(name string) (tune.Scenario, error) {
 	if err != nil {
 		return tune.Scenario{}, err
 	}
-	sc := tune.Scenario{Name: "device-" + name}
+	sc := tune.Scenario{Name: "device-" + name, Device: choice}
 	switch choice.Kind() {
 	case exp.DeviceSSD:
-		spec := *choice.Spec().(*device.SSDSpec)
-		sc.SSD = &spec
 		sc.Target, sc.ShedTarget = 2*sim.Millisecond, 500*sim.Microsecond
 	case exp.DeviceHDD:
-		spec := *choice.Spec().(*device.HDDSpec)
-		sc.HDD = &spec
 		sc.Target, sc.ShedTarget = 250*sim.Millisecond, 40*sim.Millisecond
 	case exp.DeviceRemote:
-		spec := *choice.Spec().(*device.RemoteSpec)
-		sc.Remote = &spec
 		sc.Target, sc.ShedTarget = 10*sim.Millisecond, 3*sim.Millisecond
 	}
 	return sc, nil

@@ -21,7 +21,34 @@ func TestFleetAGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tune.Search(sc, tune.Options{Seed: 1, Window: 200 * sim.Millisecond, HillRounds: 1})
+	checkReportGolden(t, sc, 1, "testdata/fleet-a_seed1.json")
+}
+
+// TestScenarioGoldens pins the JSON reports of
+//
+//	iocost-tune -json -scenario hdd -seed 7 -window 200 -hill 1
+//	iocost-tune -json -device ebs-gp3 -seed 3 -window 200 -hill 1
+//
+// byte for byte, so the spinning-disk and cloud-volume arms of the
+// device-derived iocost defaults are pinned alongside fleet-a's SSD.
+func TestScenarioGoldens(t *testing.T) {
+	hdd, err := tune.ScenarioByName("hdd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkReportGolden(t, hdd, 7, "testdata/hdd_seed7.json")
+	gp3, err := deviceScenario("ebs-gp3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkReportGolden(t, gp3, 3, "testdata/device-ebs-gp3_seed3.json")
+}
+
+// checkReportGolden runs the search with -window 200 -hill 1 and compares
+// its JSON report with file.
+func checkReportGolden(t *testing.T, sc tune.Scenario, seed uint64, file string) {
+	t.Helper()
+	res, err := tune.Search(sc, tune.Options{Seed: seed, Window: 200 * sim.Millisecond, HillRounds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,11 +56,11 @@ func TestFleetAGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile("testdata/fleet-a_seed1.json")
+	want, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("report differs from testdata/fleet-a_seed1.json:\n%s", got)
+		t.Errorf("report differs from %s:\n%s", file, got)
 	}
 }

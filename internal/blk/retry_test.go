@@ -141,9 +141,9 @@ func TestZeroPolicyDeliversErrorsUnretried(t *testing.T) {
 // hangDev accepts requests and never completes them.
 type hangDev struct{ inflight int }
 
-func (d *hangDev) Name() string                          { return "hang" }
-func (d *hangDev) Parallelism() int                      { return 1 }
-func (d *hangDev) InFlight() int                         { return d.inflight }
+func (d *hangDev) Name() string                           { return "hang" }
+func (d *hangDev) Parallelism() int                       { return 1 }
+func (d *hangDev) InFlight() int                          { return d.inflight }
 func (d *hangDev) Submit(b *bio.Bio, done func(*bio.Bio)) { d.inflight++ }
 
 // TestDeadlineTimesOutHungDevice pins the timeout path: a dispatched bio

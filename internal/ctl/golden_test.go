@@ -22,7 +22,6 @@ import (
 	"github.com/iocost-sim/iocost/internal/ctl"
 	"github.com/iocost-sim/iocost/internal/device"
 	"github.com/iocost-sim/iocost/internal/sim"
-	"github.com/iocost-sim/iocost/internal/tune"
 )
 
 // goldenDispatchHashes pins the dispatch/completion traces for all seven
@@ -104,7 +103,7 @@ func dispatchTrace(t *testing.T, name string) (uint64, int) {
 		c = ctl.NewKyber()
 	case "iocost":
 		ioc, err := ctl.New("iocost", ctl.Config{Custom: core.Config{
-			Model: core.MustLinearModel(tune.IdealSSDParams(spec)),
+			Model: core.MustLinearModel(core.IdealSSDParams(spec)),
 		}})
 		if err != nil {
 			t.Fatalf("iocost construction: %v", err)

@@ -10,7 +10,6 @@ import (
 	"github.com/iocost-sim/iocost/internal/device"
 	"github.com/iocost-sim/iocost/internal/fanout"
 	"github.com/iocost-sim/iocost/internal/sim"
-	"github.com/iocost-sim/iocost/internal/tune"
 	"github.com/iocost-sim/iocost/internal/workload"
 )
 
@@ -39,8 +38,8 @@ func AblationDonation(measure sim.Time) AblationDonationResult {
 			Device:     ssdChoice(spec),
 			Controller: KindIOCost,
 			IOCostCfg: core.Config{
-				Model:           core.MustLinearModel(tune.IdealSSDParams(spec)),
-				QoS:             tune.HandTunedSSD(spec),
+				Model:           core.MustLinearModel(core.IdealSSDParams(spec)),
+				QoS:             core.HandTunedSSD(spec),
 				DisableDonation: disable,
 			},
 			Seed: 0xab1,
@@ -100,8 +99,8 @@ func AblationPeriod(measure sim.Time) []AblationPeriodRow {
 			Device:     ssdChoice(spec),
 			Controller: KindIOCost,
 			IOCostCfg: core.Config{
-				Model:  core.MustLinearModel(tune.IdealSSDParams(spec)),
-				QoS:    tune.HandTunedSSD(spec),
+				Model:  core.MustLinearModel(core.IdealSSDParams(spec)),
+				QoS:    core.HandTunedSSD(spec),
 				Period: period,
 			},
 			Seed: 0xab2,
@@ -160,7 +159,7 @@ func AblationCostModel(measure sim.Time) []AblationCostModelRow {
 		measure = 4 * sim.Second
 	}
 	spec := device.OlderGenSSD()
-	full := core.MustLinearModel(tune.IdealSSDParams(spec))
+	full := core.MustLinearModel(core.IdealSSDParams(spec))
 
 	models := []struct {
 		name string
@@ -182,7 +181,7 @@ func AblationCostModel(measure sim.Time) []AblationCostModelRow {
 			Controller: KindIOCost,
 			IOCostCfg: core.Config{
 				Model: mc.m,
-				QoS:   tune.HandTunedSSD(spec),
+				QoS:   core.HandTunedSSD(spec),
 			},
 			Seed: 0xab3,
 		})

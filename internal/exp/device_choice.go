@@ -5,10 +5,36 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/iocost-sim/iocost/internal/core"
 	"github.com/iocost-sim/iocost/internal/device"
 	"github.com/iocost-sim/iocost/internal/rng"
 	"github.com/iocost-sim/iocost/internal/sim"
 )
+
+// DeviceChoice selects the device model for a machine; exactly one field
+// set.
+type DeviceChoice struct {
+	SSD    *device.SSDSpec
+	HDD    *device.HDDSpec
+	Remote *device.RemoteSpec
+}
+
+func ssdChoice(spec device.SSDSpec) DeviceChoice { return DeviceChoice{SSD: &spec} }
+
+// Validate checks that the choice selects exactly one device. The error
+// carries no package prefix; callers wrap it with their own context.
+func (c DeviceChoice) Validate() error {
+	n := 0
+	for _, set := range []bool{c.SSD != nil, c.HDD != nil, c.Remote != nil} {
+		if set {
+			n++
+		}
+	}
+	if n != 1 {
+		return fmt.Errorf("selects %d devices, want exactly one", n)
+	}
+	return nil
+}
 
 // Device family names returned by DeviceChoice.Kind.
 const (
@@ -60,6 +86,23 @@ func (c DeviceChoice) New(eng *sim.Engine, seed uint64) device.Device {
 		return device.NewRemote(eng, *c.Remote, seed)
 	}
 	panic("exp: DeviceChoice.New on empty choice")
+}
+
+// IOCostDefaults returns the iocost parameters derived from the chosen
+// device: the ideal-profiling cost model and the §3.4-style hand-tuned QoS
+// (see internal/core's Ideal*Params and HandTuned*). This is the one place
+// a device choice maps to iocost defaults; machines, fuzz scenarios and
+// tuning branches all go through it. It panics on an empty choice.
+func (c DeviceChoice) IOCostDefaults() (core.LinearParams, core.QoS) {
+	switch {
+	case c.SSD != nil:
+		return core.IdealSSDParams(*c.SSD), core.HandTunedSSD(*c.SSD)
+	case c.HDD != nil:
+		return core.IdealHDDParams(*c.HDD), core.HandTunedHDD()
+	case c.Remote != nil:
+		return core.IdealRemoteParams(*c.Remote), core.HandTunedRemote(*c.Remote)
+	}
+	panic("exp: DeviceChoice.IOCostDefaults on empty choice")
 }
 
 // deviceCatalog maps every named device model to its choice: the three

@@ -8,7 +8,6 @@ import (
 	"github.com/iocost-sim/iocost/internal/core"
 	"github.com/iocost-sim/iocost/internal/device"
 	"github.com/iocost-sim/iocost/internal/sim"
-	"github.com/iocost-sim/iocost/internal/tune"
 	"github.com/iocost-sim/iocost/internal/workload"
 )
 
@@ -50,7 +49,7 @@ func ExtDegradation(opts ExtDegradationOptions) []ExtDegradationRow {
 	var rows []ExtDegradationRow
 	for _, kind := range []string{KindNone, KindIOCost} {
 		spec := device.OlderGenSSD()
-		qos := tune.HandTunedSSD(spec)
+		qos := core.HandTunedSSD(spec)
 		// A 3x capability loss needs vrate to reach ~33%; widen the band
 		// below the usual tuned floor so the controller can follow the
 		// device down.
@@ -59,7 +58,7 @@ func ExtDegradation(opts ExtDegradationOptions) []ExtDegradationRow {
 			Device:     ssdChoice(spec),
 			Controller: kind,
 			IOCostCfg: core.Config{
-				Model: core.MustLinearModel(tune.IdealSSDParams(spec)),
+				Model: core.MustLinearModel(core.IdealSSDParams(spec)),
 				QoS:   qos,
 			},
 			Seed: 0xdeb,

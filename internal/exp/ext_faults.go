@@ -11,7 +11,6 @@ import (
 	"github.com/iocost-sim/iocost/internal/device"
 	"github.com/iocost-sim/iocost/internal/fault"
 	"github.com/iocost-sim/iocost/internal/sim"
-	"github.com/iocost-sim/iocost/internal/tune"
 	"github.com/iocost-sim/iocost/internal/workload"
 )
 
@@ -104,7 +103,7 @@ func ExtFaults(opts ExtFaultsOptions) []ExtFaultsRow {
 	}
 	var rows []ExtFaultsRow
 	for _, kind := range []string{KindNone, KindIOCost} {
-		qos := tune.HandTunedSSD(spec)
+		qos := core.HandTunedSSD(spec)
 		// A 10x capability loss needs vrate to go far below the tuned
 		// floor for the controller to follow the device down.
 		qos.VrateMin = 0.05
@@ -112,7 +111,7 @@ func ExtFaults(opts ExtFaultsOptions) []ExtFaultsRow {
 			Device:     ssdChoice(spec),
 			Controller: kind,
 			IOCostCfg: core.Config{
-				Model: core.MustLinearModel(tune.IdealSSDParams(spec)),
+				Model: core.MustLinearModel(core.IdealSSDParams(spec)),
 				QoS:   qos,
 			},
 			Faults: ExtFaultsPlan(phase, phase),

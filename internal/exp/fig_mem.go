@@ -14,7 +14,6 @@ import (
 	"github.com/iocost-sim/iocost/internal/rcb"
 	"github.com/iocost-sim/iocost/internal/sim"
 	"github.com/iocost-sim/iocost/internal/stats"
-	"github.com/iocost-sim/iocost/internal/tune"
 	"github.com/iocost-sim/iocost/internal/workload"
 )
 
@@ -257,8 +256,8 @@ func Fig15(opts Fig15Options) []Fig15Row {
 	}
 	spec := device.OlderGenSSD()
 	base := core.Config{
-		Model: core.MustLinearModel(tune.IdealSSDParams(spec)),
-		QoS:   tune.HandTunedSSD(spec),
+		Model: core.MustLinearModel(core.IdealSSDParams(spec)),
+		QoS:   core.HandTunedSSD(spec),
 	}
 	withFlag := func(mod func(*core.Config)) core.Config {
 		c := base

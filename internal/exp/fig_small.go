@@ -13,7 +13,6 @@ import (
 	"github.com/iocost-sim/iocost/internal/fanout"
 	"github.com/iocost-sim/iocost/internal/profiler"
 	"github.com/iocost-sim/iocost/internal/sim"
-	"github.com/iocost-sim/iocost/internal/tune"
 	"github.com/iocost-sim/iocost/internal/workload"
 )
 
@@ -337,7 +336,7 @@ func Fig9(opts Fig9Options) []Fig9Row {
 			IOCostCfg: core.Config{
 				// No throttling: model says the device is far more
 				// capable than it is, vrate pinned at 100%.
-				Model: core.MustLinearModel(tune.IdealSSDParams(device.EnterpriseSSD()).Scale(100)),
+				Model: core.MustLinearModel(core.IdealSSDParams(device.EnterpriseSSD()).Scale(100)),
 				QoS: core.QoS{RPct: 99, RLat: sim.Second, WPct: 99, WLat: sim.Second,
 					VrateMin: 1, VrateMax: 1},
 			},

@@ -9,7 +9,6 @@ import (
 	"github.com/iocost-sim/iocost/internal/device"
 	"github.com/iocost-sim/iocost/internal/sim"
 	"github.com/iocost-sim/iocost/internal/stats"
-	"github.com/iocost-sim/iocost/internal/tune"
 	"github.com/iocost-sim/iocost/internal/workload"
 )
 
@@ -43,7 +42,7 @@ func Fig13(opts Fig13Options) Fig13Result {
 		phase = 8 * sim.Second
 	}
 	spec := device.NewerGenSSD()
-	params := tune.IdealSSDParams(spec)
+	params := core.IdealSSDParams(spec)
 	qos := core.QoS{
 		RPct: 90, RLat: 250 * sim.Microsecond,
 		WPct: 90, WLat: 2 * sim.Millisecond,

@@ -23,7 +23,6 @@ import (
 	"github.com/iocost-sim/iocost/internal/rng"
 	"github.com/iocost-sim/iocost/internal/sim"
 	"github.com/iocost-sim/iocost/internal/trace"
-	"github.com/iocost-sim/iocost/internal/tune"
 )
 
 // Controller kinds under comparison.
@@ -46,16 +45,6 @@ func AllKinds() []string {
 func CgroupKinds() []string {
 	return []string{KindThrottle, KindBFQ, KindIOLatency, KindIOCost}
 }
-
-// DeviceChoice selects the device model for a machine; exactly one field
-// set.
-type DeviceChoice struct {
-	SSD    *device.SSDSpec
-	HDD    *device.HDDSpec
-	Remote *device.RemoteSpec
-}
-
-func ssdChoice(spec device.SSDSpec) DeviceChoice { return DeviceChoice{SSD: &spec} }
 
 // MachineConfig describes one simulated host.
 type MachineConfig struct {
@@ -115,17 +104,8 @@ type MachineConfig struct {
 // well-formed fault plan. NewMachine calls it first, so every construction
 // error is a typed error, not a panic.
 func (cfg MachineConfig) Validate() error {
-	n := 0
-	for _, set := range []bool{cfg.Device.SSD != nil, cfg.Device.HDD != nil, cfg.Device.Remote != nil} {
-		if set {
-			n++
-		}
-	}
-	if n == 0 {
-		return fmt.Errorf("exp: MachineConfig.Device must select a device")
-	}
-	if n > 1 {
-		return fmt.Errorf("exp: MachineConfig.Device selects %d devices, want exactly one", n)
+	if err := cfg.Device.Validate(); err != nil {
+		return fmt.Errorf("exp: MachineConfig.Device %w", err)
 	}
 	if name := cfg.Controller; name != "" && !ctl.Known(name) {
 		return fmt.Errorf("exp: unknown controller %q (have: %s)",
@@ -193,10 +173,7 @@ type Machine struct {
 // multi-machine topologies by hand. Construction goes through the ctl
 // registry like every other path.
 func newIOCostController(spec device.SSDSpec) *core.Controller {
-	c, err := ctl.New(KindIOCost, ctl.Config{Custom: core.Config{
-		Model: core.MustLinearModel(tune.IdealSSDParams(spec)),
-		QoS:   tune.HandTunedSSD(spec),
-	}})
+	c, err := ctl.New(KindIOCost, ctl.Config{Custom: iocostConfig(MachineConfig{Device: ssdChoice(spec)})})
 	if err != nil {
 		panic(err)
 	}
@@ -206,27 +183,14 @@ func newIOCostController(spec device.SSDSpec) *core.Controller {
 // iocostConfig completes cfg.IOCostCfg with device-derived defaults: an
 // ideal-profiling cost model and tuned QoS for whichever device the machine
 // runs on.
-func iocostConfig(cfg MachineConfig, ssdSpec *device.SSDSpec) core.Config {
+func iocostConfig(cfg MachineConfig) core.Config {
 	c := cfg.IOCostCfg
+	params, qos := cfg.Device.IOCostDefaults()
 	if c.Model == nil {
-		switch {
-		case ssdSpec != nil:
-			c.Model = core.MustLinearModel(tune.IdealSSDParams(*ssdSpec))
-		case cfg.Device.HDD != nil:
-			c.Model = core.MustLinearModel(tune.IdealHDDParams(*cfg.Device.HDD))
-		default:
-			c.Model = core.MustLinearModel(tune.IdealRemoteParams(*cfg.Device.Remote))
-		}
+		c.Model = core.MustLinearModel(params)
 	}
 	if c.QoS == (core.QoS{}) {
-		switch {
-		case ssdSpec != nil:
-			c.QoS = tune.HandTunedSSD(*ssdSpec)
-		case cfg.Device.HDD != nil:
-			c.QoS = tune.HandTunedHDD()
-		default:
-			c.QoS = tune.HandTunedRemote(*cfg.Device.Remote)
-		}
+		c.QoS = qos
 	}
 	return c
 }
@@ -248,7 +212,6 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	}
 	m := &Machine{Eng: eng, Hier: cgroup.NewHierarchy()}
 
-	ssdSpec := cfg.Device.SSD
 	m.Dev = cfg.Device.New(eng, rng.DeriveSeed(cfg.Seed, 0xde5))
 
 	if !cfg.Faults.Empty() {
@@ -266,7 +229,7 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	}
 	var ctlCfg ctl.Config
 	if name == KindIOCost {
-		ctlCfg.Custom = iocostConfig(cfg, ssdSpec)
+		ctlCfg.Custom = iocostConfig(cfg)
 	}
 	c, err := ctl.New(name, ctlCfg)
 	if err != nil {
@@ -360,41 +323,11 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	}
 
 	// The metrics registry registers last so it can see every component.
-	// Registration order fixes export order; collectors are pull-based,
-	// so an enabled registry adds no per-bio work — cost is paid only
-	// when the sampler scrapes. Flight triggers read the registry, so a
-	// flight recorder forces one into existence even without Metrics.
+	// Flight triggers read the registry, so a flight recorder forces one
+	// into existence even without Metrics.
 	if cfg.Metrics || cfg.Flight != nil {
 		m.Registry = registry.New()
-		m.Q.RegisterMetrics(m.Registry)
-		dev := m.Dev
-		if m.Fault != nil {
-			dev = m.Fault.Device()
-		}
-		if reg, ok := dev.(registry.Registrar); ok {
-			reg.RegisterMetrics(m.Registry)
-		}
-		if m.Fault != nil {
-			m.Fault.RegisterMetrics(m.Registry)
-		}
-		m.Hier.RegisterMetrics(m.Registry)
-		if reg, ok := m.Ctl.(registry.Registrar); ok {
-			reg.RegisterMetrics(m.Registry)
-		}
-		if m.Mem != nil {
-			m.Mem.RegisterMetrics(m.Registry)
-		}
-		if m.Pressure != nil {
-			m.Pressure.RegisterMetrics(m.Registry)
-		}
-		var streams []trace.RecorderStream
-		if m.Trace != nil {
-			streams = append(streams, trace.RecorderStream{Stream: "trace", Rec: m.Trace})
-		}
-		if m.Flight != nil {
-			streams = append(streams, trace.RecorderStream{Stream: "flight", Rec: m.Flight.TraceRecorder()})
-		}
-		trace.RegisterRecorderMetrics(m.Registry, streams)
+		m.RegisterMetrics(m.Registry)
 		if cfg.Metrics {
 			m.Sampler = metrics.NewSampler(eng, m.Registry, metrics.SamplerConfig{
 				Interval: cfg.MetricsInterval,
@@ -411,6 +344,46 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 		}
 	}
 	return m, nil
+}
+
+// RegisterMetrics registers every layer of the machine on r: block queue,
+// device, fault injector, cgroup tree, controller, memory pool, PSI
+// collector and trace recorders, in that order. Registration order fixes
+// export order; collectors are pull-based, so a registry adds no per-bio
+// work — cost is paid only when something reads it. NewMachine calls it
+// for MachineConfig.Metrics (and Flight); callers that only read values
+// through the typed accessors can call it on their own registry and skip
+// the Sampler's ticks.
+func (m *Machine) RegisterMetrics(r *registry.Registry) {
+	m.Q.RegisterMetrics(r)
+	dev := m.Dev
+	if m.Fault != nil {
+		dev = m.Fault.Device()
+	}
+	if reg, ok := dev.(registry.Registrar); ok {
+		reg.RegisterMetrics(r)
+	}
+	if m.Fault != nil {
+		m.Fault.RegisterMetrics(r)
+	}
+	m.Hier.RegisterMetrics(r)
+	if reg, ok := m.Ctl.(registry.Registrar); ok {
+		reg.RegisterMetrics(r)
+	}
+	if m.Mem != nil {
+		m.Mem.RegisterMetrics(r)
+	}
+	if m.Pressure != nil {
+		m.Pressure.RegisterMetrics(r)
+	}
+	var streams []trace.RecorderStream
+	if m.Trace != nil {
+		streams = append(streams, trace.RecorderStream{Stream: "trace", Rec: m.Trace})
+	}
+	if m.Flight != nil {
+		streams = append(streams, trace.RecorderStream{Stream: "flight", Rec: m.Flight.TraceRecorder()})
+	}
+	trace.RegisterRecorderMetrics(r, streams)
 }
 
 // multiSink fans controller events out to several recorders (the main

@@ -10,7 +10,6 @@ import (
 	"github.com/iocost-sim/iocost/internal/device"
 	"github.com/iocost-sim/iocost/internal/fault"
 	"github.com/iocost-sim/iocost/internal/sim"
-	"github.com/iocost-sim/iocost/internal/tune"
 	"github.com/iocost-sim/iocost/internal/workload"
 )
 
@@ -143,7 +142,7 @@ func TestIdealParamsMatchProfiledDevice(t *testing.T) {
 	// The analytic parameters must be close to what profiling measures —
 	// they are two routes to the same ground truth.
 	spec := device.NewerGenSSD()
-	ideal := tune.IdealSSDParams(spec)
+	ideal := core.IdealSSDParams(spec)
 	if ideal.RRandIOPS < 200000 || ideal.RRandIOPS > 300000 {
 		t.Errorf("ideal rand read IOPS = %v", ideal.RRandIOPS)
 	}

@@ -12,7 +12,7 @@
 // the trace ring's — no allocations, no schedule perturbation — and the
 // whole-stack zero-alloc pin covers a flight-enabled machine.
 //
-// Trigger arming shares tune.Hysteresis with the auto-tune daemon:
+// Trigger arming shares slo.Hysteresis with the auto-tune daemon:
 // consecutive-breach counts, cooldown windows and lifetime caps behave
 // identically in both subsystems, pinned by both packages' tests.
 package flight
@@ -27,7 +27,6 @@ import (
 	"github.com/iocost-sim/iocost/internal/sim"
 	"github.com/iocost-sim/iocost/internal/slo"
 	"github.com/iocost-sim/iocost/internal/trace"
-	"github.com/iocost-sim/iocost/internal/tune"
 )
 
 // Defaults.
@@ -144,7 +143,7 @@ type Recorder struct {
 	reg *registry.Registry
 	ev  *slo.Evaluator
 
-	hyst    tune.Hysteresis
+	hyst    slo.Hysteresis
 	epFired []bool
 
 	lastFaults float64
@@ -174,7 +173,7 @@ func New(eng *sim.Engine, cfg Config) (*Recorder, error) {
 		epFired: make([]bool, len(cfg.Plan.Episodes)),
 		enabled: true,
 	}
-	r.hyst = tune.Hysteresis{Consec: cfg.Consec, Cooldown: cfg.Cooldown}
+	r.hyst = slo.Hysteresis{Consec: cfg.Consec, Cooldown: cfg.Cooldown}
 	return r, nil
 }
 

@@ -196,7 +196,7 @@ func newRigRecorder(t *testing.T, r *rig, cfg flight.Config) *flight.Recorder {
 	return fl
 }
 
-// TestTriggerHysteresis pins flight triggers onto the shared tune
+// TestTriggerHysteresis pins flight triggers onto the shared slo.Hysteresis
 // semantics: consecutive-breach arming, cooldown, and priority order.
 func TestTriggerHysteresis(t *testing.T) {
 	r := newRig()

@@ -93,21 +93,10 @@ func Tune(spec device.SSDSpec, opts TuneOptions) TuneResult {
 		vmin = vmax
 	}
 
-	// Latency targets: a small multiple of the loaded operating points,
-	// as in tune.HandTunedSSD.
-	unloadedR := float64(spec.RandReadNS)
-	if bw := 4096 * float64(spec.Parallelism) / spec.ReadBps * 1e9; bw > unloadedR {
-		unloadedR = bw
-	}
-	wService := spec.RandWriteNS
-	if sustained := 128 << 10 * float64(spec.Parallelism) / spec.SustainedWBp * 1e9; sustained > wService {
-		wService = sustained
-	}
-	res.QoS = core.QoS{
-		RPct: 90, RLat: 5 * sim.Time(unloadedR),
-		WPct: 90, WLat: 8 * sim.Time(wService),
-		VrateMin: vmin, VrateMax: vmax,
-	}
+	// Latency targets: the hand-tuned small multiples of the device's
+	// loaded operating points.
+	res.QoS = core.HandTunedSSD(spec)
+	res.QoS.VrateMin, res.QoS.VrateMax = vmin, vmax
 	return res
 }
 
@@ -116,16 +105,8 @@ func Tune(spec device.SSDSpec, opts TuneOptions) TuneResult {
 func runTuneScenario(spec device.SSDSpec, vrate float64, withLeaker bool, opts TuneOptions) float64 {
 	eng := sim.New()
 	dev := device.NewSSD(eng, spec, opts.Seed^0x7e)
-	params := core.LinearParams{
-		RBps:      spec.ReadBps,
-		RSeqIOPS:  float64(spec.Parallelism) / spec.SeqReadNS * 1e9,
-		RRandIOPS: float64(spec.Parallelism) / spec.RandReadNS * 1e9,
-		WBps:      spec.SustainedWBp,
-		WSeqIOPS:  float64(spec.Parallelism) / spec.SeqWriteNS * 1e9,
-		WRandIOPS: float64(spec.Parallelism) / spec.RandWriteNS * 1e9,
-	}
 	ioc := core.New(core.Config{
-		Model: core.MustLinearModel(params),
+		Model: core.MustLinearModel(core.IdealSSDParams(spec)),
 		// Pin vrate at the point under test.
 		QoS: core.QoS{
 			RPct: 90, RLat: sim.Second, WPct: 90, WLat: sim.Second,

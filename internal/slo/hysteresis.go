@@ -1,4 +1,4 @@
-package tune
+package slo
 
 import (
 	"fmt"

@@ -1,4 +1,4 @@
-package tune
+package slo
 
 import (
 	"testing"
@@ -85,26 +85,5 @@ func TestHysteresisZeroValues(t *testing.T) {
 	}
 	if h.Fires() != 3 {
 		t.Fatalf("fires=%d, want 3", h.Fires())
-	}
-}
-
-// TestDaemonNotify pins that SetNotify hears every successful re-tune.
-func TestDaemonNotify(t *testing.T) {
-	rig := newDaemonRig(t, Policy{
-		CheckEvery: sim.Second, Cooldown: 2 * sim.Second, Consec: 1,
-		VrateFloor: 0.3,
-	})
-	var heard []string
-	rig.d.SetNotify(func(trigger string) { heard = append(heard, trigger) })
-	rig.vrate = 0.1
-	rig.eng.RunUntil(6*sim.Second + sim.Second/2)
-	if rig.d.Retunes == 0 {
-		t.Fatal("no re-tunes happened")
-	}
-	if len(heard) != rig.d.Retunes {
-		t.Fatalf("notify heard %d re-tunes, daemon did %d", len(heard), rig.d.Retunes)
-	}
-	if heard[0] != "vrate-collapse" {
-		t.Fatalf("notify trigger %q, want vrate-collapse", heard[0])
 	}
 }

@@ -14,6 +14,9 @@
 //
 // so burn 1.0 consumes exactly the budget over the SLO period, and the
 // classic fast-burn threshold (e.g. 14.4) catches outages in minutes.
+//
+// The package also holds Hysteresis, the trigger arming state machine the
+// flight recorder and the tune daemon share.
 package slo
 
 import (

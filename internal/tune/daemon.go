@@ -6,6 +6,7 @@ import (
 	"github.com/iocost-sim/iocost/internal/core"
 	"github.com/iocost-sim/iocost/internal/registry"
 	"github.com/iocost-sim/iocost/internal/sim"
+	"github.com/iocost-sim/iocost/internal/slo"
 )
 
 // The daemon is the closed-loop half of the tuner: it watches a live
@@ -90,7 +91,7 @@ type Daemon struct {
 	// recorder snapshots on it).
 	notify func(trigger string)
 
-	hyst       Hysteresis
+	hyst       slo.Hysteresis
 	lastFaults float64
 	haveFaults bool
 
@@ -114,15 +115,9 @@ func NewDaemon(eng *sim.Engine, reg *registry.Registry, pol Policy,
 	if logf == nil {
 		logf = func(string, string, ...any) {}
 	}
-	d := &Daemon{eng: eng, reg: reg, pol: pol.withDefaults(), retune: retune, apply: apply, logf: logf}
-	d.hyst = d.pol.hysteresis()
+	d := &Daemon{eng: eng, reg: reg, retune: retune, apply: apply, logf: logf}
+	d.setPolicy(pol)
 	return d, nil
-}
-
-// hysteresis builds the policy's arming state machine (shared semantics
-// with the flight recorder; see Hysteresis).
-func (p Policy) hysteresis() Hysteresis {
-	return Hysteresis{Consec: p.Consec, Cooldown: p.Cooldown, MaxFires: p.MaxRetunes}
 }
 
 // SetNotify installs an observer called after every successful re-tune with
@@ -132,16 +127,23 @@ func (d *Daemon) SetNotify(fn func(trigger string)) { d.notify = fn }
 
 // SetPolicy swaps the trigger policy; the change takes effect at the next
 // check. The breach counter resets so a threshold change never fires on
-// samples taken under the old policy.
+// samples taken under the old policy; the fire count and the cooldown clock
+// persist, so a swap grants no free re-tune.
 func (d *Daemon) SetPolicy(pol Policy) error {
 	if err := pol.Validate(); err != nil {
 		return err
 	}
-	d.pol = pol.withDefaults()
-	h := d.pol.hysteresis()
-	h.fires, h.lastFire, h.fired = d.hyst.fires, d.hyst.lastFire, d.hyst.fired
-	d.hyst = h
+	d.setPolicy(pol)
 	return nil
+}
+
+// setPolicy installs a validated policy and re-arms the trigger state
+// machine (shared semantics with the flight recorder; see slo.Hysteresis)
+// with its parameters.
+func (d *Daemon) setPolicy(pol Policy) {
+	d.pol = pol.withDefaults()
+	d.hyst.Consec, d.hyst.Cooldown, d.hyst.MaxFires = d.pol.Consec, d.pol.Cooldown, d.pol.MaxRetunes
+	d.hyst.Reset()
 }
 
 // Start begins periodic checks on the engine's clock.

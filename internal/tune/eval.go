@@ -2,28 +2,25 @@ package tune
 
 import (
 	"github.com/iocost-sim/iocost/internal/bio"
-	"github.com/iocost-sim/iocost/internal/blk"
-	"github.com/iocost-sim/iocost/internal/cgroup"
 	"github.com/iocost-sim/iocost/internal/core"
-	"github.com/iocost-sim/iocost/internal/ctl"
 	"github.com/iocost-sim/iocost/internal/device"
-	"github.com/iocost-sim/iocost/internal/metrics"
+	"github.com/iocost-sim/iocost/internal/exp"
 	"github.com/iocost-sim/iocost/internal/registry"
 	"github.com/iocost-sim/iocost/internal/rng"
 	"github.com/iocost-sim/iocost/internal/sim"
 	"github.com/iocost-sim/iocost/internal/workload"
 )
 
-// A branch is one forked evaluation of a candidate config: a fresh machine
-// built from the scenario seed, identical to every other branch except for
-// the QoS under test. Branches share no state, so fanout can race any
-// number of them and the measurement of each is a pure function of
-// (scenario, qos, seed, warmup, window).
+// A branch is one forked evaluation of a candidate config: a fresh
+// exp.NewMachine host built from the scenario seed, identical to every
+// other branch except for the QoS under test. Branches share no state, so
+// fanout can race any number of them and the measurement of each is a pure
+// function of (scenario, qos, seed, warmup, window).
 
-// Seed-stream tags. The device tag matches exp's so a tuned config's
-// evaluation sees the same device noise an experiment run would.
+// Seed-stream tags for the branch's workloads; the device draws from
+// exp.NewMachine's stream of the same seed, so a tuned config's evaluation
+// sees the same device noise an experiment run would.
 const (
-	devSeedTag  = 0xde5
 	shedSeedTag = 0x51ed
 	bulkRSeed   = 0xb01c
 	bulkWSeed   = 0xb11c
@@ -45,49 +42,24 @@ type Measure struct {
 	PressurePct float64
 }
 
-// Model returns the scenario device's ideal-profiling cost model.
-func (sc Scenario) Model() core.LinearParams {
-	switch {
-	case sc.SSD != nil:
-		return IdealSSDParams(*sc.SSD)
-	case sc.HDD != nil:
-		return IdealHDDParams(*sc.HDD)
-	default:
-		return IdealRemoteParams(*sc.Remote)
-	}
-}
-
-// HandTuned returns the §3.4-style hand-tuned QoS for the scenario device —
-// the config the auto-tuner has to beat to justify its existence.
-func (sc Scenario) HandTuned() core.QoS {
-	switch {
-	case sc.SSD != nil:
-		return HandTunedSSD(*sc.SSD)
-	case sc.HDD != nil:
-		return HandTunedHDD()
-	default:
-		return HandTunedRemote(*sc.Remote)
-	}
-}
-
 // latencyHints returns rough loaded service times per direction, used to
 // scale random candidates' latency targets.
 func (sc Scenario) latencyHints() (r, w sim.Time) {
-	switch {
-	case sc.SSD != nil:
-		r = device.New4kLatencyHint(*sc.SSD)
-		ws := sc.SSD.RandWriteNS
-		if sustained := 128 << 10 * float64(sc.SSD.Parallelism) / sc.SSD.SustainedWBp * 1e9; sustained > ws {
+	switch d := sc.Device; {
+	case d.SSD != nil:
+		r = device.New4kLatencyHint(*d.SSD)
+		ws := d.SSD.RandWriteNS
+		if sustained := 128 << 10 * float64(d.SSD.Parallelism) / d.SSD.SustainedWBp * 1e9; sustained > ws {
 			ws = sustained
 		}
 		w = sim.Time(ws)
-	case sc.HDD != nil:
-		p := IdealHDDParams(*sc.HDD)
+	case d.HDD != nil:
+		p := core.IdealHDDParams(*d.HDD)
 		r = sim.Time(1e9 / p.RRandIOPS)
 		w = r
 	default:
-		r = sim.Time(sc.Remote.RTTNS)
-		w = r + sim.Time(sc.Remote.WriteExtraNS)
+		r = sim.Time(d.Remote.RTTNS)
+		w = r + sim.Time(d.Remote.WriteExtraNS)
 	}
 	return r, w
 }
@@ -96,47 +68,23 @@ func (sc Scenario) latencyHints() (r, w sim.Time) {
 // what the tuner's objective scores. All observation goes through the
 // registry's typed accessors — the same numbers a scrape would export.
 func evaluate(sc Scenario, qos core.QoS, seed uint64, warmup, window sim.Time) Measure {
-	eng := sim.New()
-	devSeed := rng.DeriveSeed(seed, devSeedTag)
-	var dev device.Device
-	switch {
-	case sc.SSD != nil:
-		dev = device.NewSSD(eng, *sc.SSD, devSeed)
-	case sc.HDD != nil:
-		dev = device.NewHDD(eng, *sc.HDD, devSeed)
-	default:
-		dev = device.NewRemote(eng, *sc.Remote, devSeed)
-	}
-
-	c, err := ctl.New("iocost", ctl.Config{Custom: core.Config{
-		Model: core.MustLinearModel(sc.Model()),
-		QoS:   qos,
-	}})
+	mach, err := exp.NewMachine(exp.MachineConfig{
+		Device:     sc.Device,
+		Controller: exp.KindIOCost,
+		IOCostCfg:  core.Config{QoS: qos},
+		Seed:       seed,
+		Pressure:   true,
+	})
 	if err != nil {
-		panic(err) // candidates are validated before evaluation
+		panic(err) // scenarios and candidates are validated before evaluation
 	}
-	q := blk.New(eng, dev, c, 0)
-
-	hier := cgroup.NewHierarchy()
-	hier.Root().NewChild("system", 50)
-	hier.Root().NewChild("hostcritical", 100)
-	wl := hier.Root().NewChild("workload", 850)
-	prot := wl.NewChild("prot", 800)
-	bulk := wl.NewChild("bulk", 100)
-
-	press := metrics.NewIOPressure(eng)
-	press.Attach(q)
-
+	eng, q := mach.Eng, mach.Q
+	prot := mach.Workload.NewChild("prot", 800)
+	bulk := mach.Workload.NewChild("bulk", 100)
+	// A bare registry: the branch reads values through the typed
+	// accessors, so it needs no Sampler ticking on the clock.
 	reg := registry.New()
-	q.RegisterMetrics(reg)
-	if rr, ok := dev.(registry.Registrar); ok {
-		rr.RegisterMetrics(reg)
-	}
-	hier.RegisterMetrics(reg)
-	if rr, ok := c.(registry.Registrar); ok {
-		rr.RegisterMetrics(reg)
-	}
-	press.RegisterMetrics(reg)
+	mach.RegisterMetrics(reg)
 
 	shed := workload.NewLoadShedder(q, workload.LoadShedderConfig{
 		CG: prot, Op: bio.Read, Pattern: workload.Random, Size: 4096,

@@ -157,9 +157,10 @@ func Search(sc Scenario, opts Options) (*Result, error) {
 		target = sc.Target
 	}
 
+	model, hand := sc.Device.IOCostDefaults()
 	res := &Result{
 		Scenario: sc.Name, Objective: obj.Name, Target: target,
-		Seed: opts.Seed, Model: sc.Model(),
+		Seed: opts.Seed, Model: model,
 	}
 
 	// Round 0 population: the two reference configs plus seeded random
@@ -167,7 +168,7 @@ func Search(sc Scenario, opts Options) (*Result, error) {
 	pop := make([]Candidate, 0, opts.Candidates)
 	pop = append(pop,
 		Candidate{QoS: core.DefaultQoS(), Origin: "default"},
-		Candidate{QoS: sc.HandTuned(), Origin: "hand"})
+		Candidate{QoS: hand, Origin: "hand"})
 	gen := rng.Derive(opts.Seed, candSeedTag)
 	hintR, hintW := sc.latencyHints()
 	for i := len(pop); i < opts.Candidates; i++ {
@@ -243,7 +244,7 @@ func Search(sc Scenario, opts Options) (*Result, error) {
 	finalists := []Candidate{
 		{QoS: incumbent.QoS, Origin: incumbent.Origin},
 		{QoS: core.DefaultQoS(), Origin: "default"},
-		{QoS: sc.HandTuned(), Origin: "hand"},
+		{QoS: hand, Origin: "hand"},
 	}
 	score(finalists, window)
 	best := 0

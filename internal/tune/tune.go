@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"github.com/iocost-sim/iocost/internal/device"
+	"github.com/iocost-sim/iocost/internal/exp"
 	"github.com/iocost-sim/iocost/internal/sim"
 )
 
@@ -42,10 +43,10 @@ type Scenario struct {
 	// Name identifies the scenario in reports and on the command line.
 	Name string
 
-	// Exactly one device model must be set.
-	SSD    *device.SSDSpec
-	HDD    *device.HDDSpec
-	Remote *device.RemoteSpec
+	// Device is the machine's device model; its iocost defaults
+	// (exp.DeviceChoice.IOCostDefaults) are the cost model every branch
+	// runs with and the hand-tuned config the search races against.
+	Device exp.DeviceChoice
 
 	// Target is the protected workload's p99 completion-latency ceiling,
 	// the constraint side of the default objective.
@@ -58,14 +59,8 @@ type Scenario struct {
 // Validate checks that the scenario selects exactly one device and has
 // positive latency targets.
 func (sc Scenario) Validate() error {
-	n := 0
-	for _, set := range []bool{sc.SSD != nil, sc.HDD != nil, sc.Remote != nil} {
-		if set {
-			n++
-		}
-	}
-	if n != 1 {
-		return fmt.Errorf("tune: scenario %q selects %d devices, want exactly one", sc.Name, n)
+	if err := sc.Device.Validate(); err != nil {
+		return fmt.Errorf("tune: scenario %q %w", sc.Name, err)
 	}
 	if sc.Name == "" {
 		return fmt.Errorf("tune: scenario has no name")
@@ -82,7 +77,7 @@ func fleetScenario(name string, target, shed sim.Time) Scenario {
 		panic(err)
 	}
 	return Scenario{
-		Name: "fleet-" + strings.ToLower(name), SSD: &spec,
+		Name: "fleet-" + strings.ToLower(name), Device: exp.DeviceChoice{SSD: &spec},
 		Target: target, ShedTarget: shed,
 	}
 }
@@ -100,7 +95,7 @@ func FleetH() Scenario { return fleetScenario("H", 1*sim.Millisecond, 300*sim.Mi
 func HDD() Scenario {
 	spec := device.EvalHDD()
 	return Scenario{
-		Name: "hdd", HDD: &spec,
+		Name: "hdd", Device: exp.DeviceChoice{HDD: &spec},
 		Target: 250 * sim.Millisecond, ShedTarget: 40 * sim.Millisecond,
 	}
 }
@@ -109,7 +104,7 @@ func HDD() Scenario {
 func RemoteGP3() Scenario {
 	spec := device.EBSgp3()
 	return Scenario{
-		Name: "remote-gp3", Remote: &spec,
+		Name: "remote-gp3", Device: exp.DeviceChoice{Remote: &spec},
 		Target: 10 * sim.Millisecond, ShedTarget: 3 * sim.Millisecond,
 	}
 }

@@ -138,7 +138,7 @@ func TestSearchRejectsBadInput(t *testing.T) {
 	}
 	both := sc
 	hdd := HDD()
-	both.HDD = hdd.HDD
+	both.Device.HDD = hdd.Device.HDD
 	if err := both.Validate(); err == nil {
 		t.Error("scenario with two devices accepted")
 	}
@@ -170,14 +170,15 @@ func TestObjectives(t *testing.T) {
 }
 
 func TestReportValidate(t *testing.T) {
+	model, hand := FleetA().Device.IOCostDefaults()
 	res := &Result{
 		Scenario: "fleet-a", Objective: "bulk-slo", Target: 2 * sim.Millisecond,
 		Seed:  7,
-		Model: IdealSSDParams(*FleetA().SSD),
+		Model: model,
 		Best: Candidate{QoS: core.DefaultQoS(), Origin: "hill-1.2", Score: 10,
 			Meas: Measure{P99: sim.Millisecond, ProtIOPS: 100, BulkBps: 1e6, VrateMean: 1}},
 		Baseline:  Candidate{QoS: core.DefaultQoS(), Origin: "default", Score: 5},
-		HandTuned: Candidate{QoS: HandTunedSSD(*FleetA().SSD), Origin: "hand", Score: 7},
+		HandTuned: Candidate{QoS: hand, Origin: "hand", Score: 7},
 		Rounds: []Round{
 			{Stage: "halving", Window: 100 * sim.Millisecond, Candidates: 8, BestScore: 4, BestOrigin: "hand"},
 			{Stage: "final", Window: 400 * sim.Millisecond, Candidates: 3, BestScore: 10, BestOrigin: "hill-1.2"},
@@ -311,6 +312,27 @@ func TestDaemonTriggers(t *testing.T) {
 	}
 }
 
+// TestDaemonNotify pins that SetNotify hears every successful re-tune.
+func TestDaemonNotify(t *testing.T) {
+	rig := newDaemonRig(t, Policy{
+		CheckEvery: sim.Second, Cooldown: 2 * sim.Second, Consec: 1,
+		VrateFloor: 0.3,
+	})
+	var heard []string
+	rig.d.SetNotify(func(trigger string) { heard = append(heard, trigger) })
+	rig.vrate = 0.1
+	rig.eng.RunUntil(6*sim.Second + sim.Second/2)
+	if rig.d.Retunes == 0 {
+		t.Fatal("no re-tunes happened")
+	}
+	if len(heard) != rig.d.Retunes {
+		t.Fatalf("notify heard %d re-tunes, daemon did %d", len(heard), rig.d.Retunes)
+	}
+	if heard[0] != "vrate-collapse" {
+		t.Fatalf("notify trigger %q, want vrate-collapse", heard[0])
+	}
+}
+
 func TestDaemonMaxRetunesAndPolicySwap(t *testing.T) {
 	pol := Policy{
 		CheckEvery: sim.Second, Cooldown: sim.Second, Consec: 1,
@@ -337,6 +359,29 @@ func TestDaemonMaxRetunesAndPolicySwap(t *testing.T) {
 	if rig.d.Retunes != 2 {
 		t.Fatalf("after policy swap: %d retunes, want 2", rig.d.Retunes)
 	}
+
+	// A swap right after a fire keeps the cooldown clock: the re-tune at
+	// t=1s blocks the checks at 2s..5s under the new policy too, and the
+	// next re-tune comes at 6s.
+	pol = Policy{CheckEvery: sim.Second, Cooldown: 5 * sim.Second, Consec: 1, VrateFloor: 0.3}
+	rig = newDaemonRig(t, pol)
+	rig.vrate = 0.1
+	rig.eng.RunUntil(sim.Second + sim.Second/2)
+	if rig.d.Retunes != 1 {
+		t.Fatalf("before swap: %d retunes, want 1", rig.d.Retunes)
+	}
+	pol.VrateFloor = 0.4
+	if err := rig.d.SetPolicy(pol); err != nil {
+		t.Fatal(err)
+	}
+	rig.eng.RunUntil(5*sim.Second + sim.Second/2)
+	if rig.d.Retunes != 1 {
+		t.Fatalf("policy swap re-tuned inside the cooldown: %d retunes, want 1", rig.d.Retunes)
+	}
+	rig.eng.RunUntil(6*sim.Second + sim.Second/2)
+	if rig.d.Retunes != 2 {
+		t.Fatalf("after the cooldown: %d retunes, want 2", rig.d.Retunes)
+	}
 }
 
 func TestPolicyValidate(t *testing.T) {
@@ -355,7 +400,7 @@ func TestHandTunedFormulasMatchByDevice(t *testing.T) {
 	// The hand-tuned HDD config is the one every experiment runs with;
 	// pin its values so a drive-by edit cannot silently shift the tuned
 	// vs hand-tuned comparison.
-	q := HandTunedHDD()
+	q := core.HandTunedHDD()
 	want := core.QoS{
 		RPct: 90, RLat: 15 * sim.Millisecond,
 		WPct: 90, WLat: 40 * sim.Millisecond,
@@ -368,10 +413,11 @@ func TestHandTunedFormulasMatchByDevice(t *testing.T) {
 		if err := sc.Validate(); err != nil {
 			t.Errorf("built-in scenario %s invalid: %v", sc.Name, err)
 		}
-		if err := sc.HandTuned().Validate(); err != nil {
+		model, hand := sc.Device.IOCostDefaults()
+		if err := hand.Validate(); err != nil {
 			t.Errorf("hand-tuned QoS for %s invalid: %v", sc.Name, err)
 		}
-		if err := sc.Model().Validate(); err != nil {
+		if err := model.Validate(); err != nil {
 			t.Errorf("model for %s invalid: %v", sc.Name, err)
 		}
 	}

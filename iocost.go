@@ -173,10 +173,10 @@ func MustLinearModel(p LinearParams) *LinearModel { return core.MustLinearModel(
 func DefaultQoS() QoS { return core.DefaultQoS() }
 
 // TunedQoS derives §3.4-style QoS parameters for an SSD.
-var TunedQoS = tune.HandTunedSSD
+var TunedQoS = core.HandTunedSSD
 
 // IdealParams derives cost-model parameters analytically from an SSD spec.
-var IdealParams = tune.IdealSSDParams
+var IdealParams = core.IdealSSDParams
 
 // Cgroups.
 type (

@@ -20,6 +20,10 @@ fi
 echo "== go build ./..."
 go build ./...
 
+echo "== gofmt"
+# Every tracked Go file must be gofmt-clean.
+test -z "$(gofmt -l $(git ls-files '*.go'))"
+
 echo "== go vet ./..."
 go vet ./...
 
