@@ -63,19 +63,27 @@ trace-smoke:
 	echo "trace-smoke OK: capture deterministic, toolchain round-trips"
 
 # Observability smoke: run the same short scenario twice with metrics on and
-# require byte-identical OpenMetrics exports (scrape determinism), then
-# validate the JSON export against its schema and exercise iocost-sim
-# -metrics. Part of tier-2 CI.
+# require byte-identical OpenMetrics exports (scrape determinism), validate
+# the JSON export against its schema with iocost-sim -check, then require
+# that -monitor leaves the per-second rows unchanged: watching a host must
+# never perturb it. Part of tier-2 CI.
 monitor-smoke:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	go run ./cmd/iocost-monitor -seconds 2 -seed 7 -mode openmetrics -o "$$dir/a.om"; \
-	go run ./cmd/iocost-monitor -seconds 2 -seed 7 -mode openmetrics -o "$$dir/b.om"; \
+	go build -o "$$dir/iocost-sim" ./cmd/iocost-sim; \
+	"$$dir/iocost-sim" -seconds 2 -seed 7 -pressure -metrics "$$dir/a.om" >/dev/null; \
+	"$$dir/iocost-sim" -seconds 2 -seed 7 -pressure -metrics "$$dir/b.om" >/dev/null; \
 	cmp "$$dir/a.om" "$$dir/b.om"; \
-	go run ./cmd/iocost-monitor -seconds 2 -seed 7 -mode json -o "$$dir/a.json"; \
-	go run ./cmd/iocost-monitor -check "$$dir/a.json" >/dev/null; \
-	go run ./cmd/iocost-sim -seconds 2 -seed 7 -metrics "$$dir/sim.om" >/dev/null; \
-	grep -q '^# EOF' "$$dir/sim.om"; \
-	echo "monitor-smoke OK: exports deterministic, JSON schema valid"
+	grep -q '^# EOF' "$$dir/a.om"; \
+	"$$dir/iocost-sim" -seconds 2 -seed 7 -pressure -metrics "$$dir/a.json" >/dev/null; \
+	"$$dir/iocost-sim" -check "$$dir/a.json" >/dev/null; \
+	"$$dir/iocost-sim" -seconds 4 -seed 7 -faults storm > "$$dir/plain.out"; \
+	"$$dir/iocost-sim" -seconds 4 -seed 7 -faults storm -monitor > "$$dir/mon.out"; \
+	grep -E '^ *[0-9]+s ' "$$dir/plain.out" > "$$dir/plain.rows"; \
+	grep -E '^ *[0-9]+s ' "$$dir/mon.out" > "$$dir/mon.rows"; \
+	test "$$(wc -l < "$$dir/plain.rows")" -eq 4; \
+	cmp "$$dir/plain.rows" "$$dir/mon.rows"; \
+	grep -q '^slo: ' "$$dir/mon.out"; \
+	echo "monitor-smoke OK: exports deterministic, JSON schema valid, -monitor leaves the rows unchanged"
 
 # Failure-semantics smoke: run the storm fault preset (10x latency + 1%
 # errors) twice with the same seed and require byte-identical traces and
@@ -89,7 +97,7 @@ fault-smoke:
 	cmp "$$dir/a.trace" "$$dir/b.trace"; \
 	cmp "$$dir/a.json" "$$dir/b.json"; \
 	grep -q 'injected errors' "$$dir/a.out"; \
-	go run ./cmd/iocost-monitor -check "$$dir/a.json" >/dev/null; \
+	go run ./cmd/iocost-sim -check "$$dir/a.json" >/dev/null; \
 	echo "fault-smoke OK: faulted runs deterministic, failures injected, metrics valid"
 
 # Cluster-scale smoke: the full 100k-host sharded fleet run at three worker

@@ -8,11 +8,25 @@
 //	iocost-sim [-controller iocost] [-device older-gen] [-seconds 10]
 //	           [-hi-weight 200] [-lo-weight 100] [-depth 32] [-size 4096]
 //	           [-replay trace.txt] [-trace run.trace] [-pressure]
+//	           [-faults storm] [-flight dir] [-monitor]
+//	           [-metrics run.om|run.json]
+//	iocost-sim -check run.json
+//
+// -monitor adds a registry-driven view under every per-second row: the
+// device table with counter rates, the block layer, the iocost snapshot,
+// io.stat, io.pressure and the SLO burn-rate alert table. -metrics exports
+// the run's sampled metrics as OpenMetrics text, or as versioned JSON with a
+// .json suffix; -check validates such a JSON export. Observation never
+// changes the simulation: the per-second rows are the same with or without
+// -monitor, -pressure and -metrics, and identical seeds give byte-identical
+// exports.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -23,7 +37,7 @@ import (
 const tool = "iocost-sim"
 
 func main() {
-	cli.Setup(tool, "[options]")
+	cli.Setup(tool, "[options] | -check file.json")
 	controller := flag.String("controller", iocost.ControllerIOCost,
 		"IO controller: "+strings.Join(iocost.ControllerNames(), ", "))
 	devName := flag.String("device", "older-gen", "device model: "+strings.Join(iocost.DeviceNames(), ", "))
@@ -34,14 +48,35 @@ func main() {
 	size := flag.Int64("size", 4096, "IO size in bytes")
 	seq := flag.Bool("seq", false, "sequential instead of random access")
 	seed := flag.Uint64("seed", 1, "simulation seed")
-	monitor := flag.Bool("monitor", false, "print per-cgroup iocost state each second (iocost only)")
+	monitor := flag.Bool("monitor", false, "print the registry-driven host view each second: device, blk, iocost state, io.stat, io.pressure and SLO burn-rate alerts")
 	replayFile := flag.String("replay", "", "replay this IO trace in the high-priority cgroup instead of a saturator (format: time-us r|w offset size [cgroup])")
 	traceOut := flag.String("trace", "", "record a binary telemetry trace of the run to this file (inspect with iocost-trace)")
 	pressure := flag.Bool("pressure", false, "print per-cgroup io.pressure at the end of the run")
 	metricsOut := flag.String("metrics", "", "export sampled metrics of the run to this file (OpenMetrics text, or JSON with a .json suffix)")
 	faults := flag.String("faults", "", "inject device faults: a preset (storm, flaky, hang, gcstorm, capcollapse) or kind:at=2s,dur=3s,rate=0.01;... episodes")
 	flightDir := flag.String("flight", "", "arm the flight recorder and write incident bundles to this directory (inspect with iocost-trace bundle)")
+	checkFile := flag.String("check", "", "validate a -metrics JSON export file and exit")
 	cli.Parse(tool)
+
+	if *checkFile != "" {
+		check(*checkFile)
+		return
+	}
+	// Bad values must fail here: a non-positive weight panics in the
+	// cgroup tree, and the saturator would quietly replace a non-positive
+	// depth or size with its default.
+	if !(*hiWeight > 0) || math.IsInf(*hiWeight, 0) || !(*loWeight > 0) || math.IsInf(*loWeight, 0) {
+		cli.Fatalf(tool, "weights must be positive and finite (hi-weight=%v lo-weight=%v)", *hiWeight, *loWeight)
+	}
+	if *depth < 1 {
+		cli.Fatalf(tool, "-depth must be at least 1, got %d", *depth)
+	}
+	if *size < 1 {
+		cli.Fatalf(tool, "-size must be positive, got %d", *size)
+	}
+	if *seconds < 1 {
+		cli.Fatalf(tool, "-seconds must be at least 1, got %d", *seconds)
+	}
 
 	dev, err := iocost.ParseDevice(*devName)
 	if err != nil {
@@ -78,7 +113,7 @@ func main() {
 		Controller: *controller,
 		Seed:       *seed,
 		Trace:      *traceOut != "",
-		Pressure:   *pressure,
+		Pressure:   *pressure || *monitor,
 		Metrics:    *metricsOut != "",
 		Faults:     plan,
 		Flight:     fc,
@@ -121,6 +156,11 @@ func main() {
 	}
 	wLo := mk(lo, 1<<40, *seed+2)
 
+	var view *monitorView
+	if *monitor {
+		view = newMonitorView(m)
+	}
+
 	fmt.Printf("%4s %12s %12s %8s %12s %12s %8s\n",
 		"t", "hi IOPS", "lo IOPS", "ratio", "hi p50", "lo p99", "vrate")
 	for t := 1; t <= *seconds; t++ {
@@ -148,9 +188,12 @@ func main() {
 			hiP50,
 			iocost.Time(wLo.Stats.Latency.Quantile(0.99)),
 			vrate)
-		if *monitor && m.IOCost != nil {
-			fmt.Print(m.IOCost.FormatSnapshot())
+		if view != nil {
+			view.print()
 		}
+	}
+	if view != nil {
+		fmt.Printf("slo: %d alert transitions\n", view.slo.Transitions())
 	}
 	if m.Fault != nil {
 		fmt.Printf("faults: injected errors=%d stalls=%d gc-hits=%d capped=%d slowed=%d delay=%v\n",
@@ -203,4 +246,21 @@ func main() {
 		fmt.Printf("metrics: %d families, %d scrapes -> %s\n",
 			m.Registry.Len(), m.Sampler.Samples(), *metricsOut)
 	}
+}
+
+// check validates a -metrics JSON export against the schema and time-series
+// invariants, exiting non-zero on failure.
+func check(path string) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		cli.Fatalf(tool, "%v", err)
+	}
+	var exp iocost.MetricsExport
+	if err := json.Unmarshal(data, &exp); err != nil {
+		cli.Fatalf(tool, "%s: %v", path, err)
+	}
+	if err := iocost.ValidateMetricsExport(&exp); err != nil {
+		cli.Fatalf(tool, "%s: %v", path, err)
+	}
+	fmt.Printf("%s: ok (%d metrics, %d scrapes)\n", path, len(exp.Metrics), exp.Samples)
 }

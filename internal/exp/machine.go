@@ -82,10 +82,9 @@ type MachineConfig struct {
 
 	// Metrics attaches a metrics registry spanning every layer
 	// (Machine.Registry) and a virtual-time sampler scraping it into
-	// bounded time-series (Machine.Sampler). MetricsInterval overrides
-	// the sample interval (0 selects metrics.DefaultSampleInterval).
-	Metrics         bool
-	MetricsInterval sim.Time
+	// bounded time-series (Machine.Sampler) every
+	// metrics.DefaultSampleInterval.
+	Metrics bool
 
 	// Faults, when non-empty, wraps the device in a fault injector
 	// (Machine.Fault) executing the plan on the virtual clock, seeded
@@ -116,9 +115,6 @@ func (cfg MachineConfig) Validate() error {
 	}
 	if cfg.TraceCap < 0 {
 		return fmt.Errorf("exp: MachineConfig.TraceCap is negative: %d", cfg.TraceCap)
-	}
-	if cfg.MetricsInterval < 0 {
-		return fmt.Errorf("exp: MachineConfig.MetricsInterval is negative: %v", cfg.MetricsInterval)
 	}
 	if err := cfg.Faults.Validate(); err != nil {
 		return fmt.Errorf("exp: MachineConfig.Faults: %w", err)
@@ -329,9 +325,7 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 		m.Registry = registry.New()
 		m.RegisterMetrics(m.Registry)
 		if cfg.Metrics {
-			m.Sampler = metrics.NewSampler(eng, m.Registry, metrics.SamplerConfig{
-				Interval: cfg.MetricsInterval,
-			})
+			m.Sampler = metrics.NewSampler(eng, m.Registry, metrics.SamplerConfig{})
 			m.Sampler.Start()
 		}
 	}

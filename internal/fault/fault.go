@@ -20,6 +20,7 @@ package fault
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"github.com/iocost-sim/iocost/internal/sim"
@@ -131,6 +132,14 @@ func (e Episode) Validate() error {
 	if e.At < 0 || e.Dur <= 0 {
 		return fmt.Errorf("fault: %s episode needs at >= 0 and dur > 0 (at=%v dur=%v)", e.Kind, e.At, e.Dur)
 	}
+	if e.Dur > math.MaxInt64-e.At {
+		return fmt.Errorf("fault: %s episode ends past the end of virtual time (at=%v dur=%v)", e.Kind, e.At, e.Dur)
+	}
+	// NaN compares false against every bound below, so finiteness is
+	// checked first and on every kind.
+	if !finite(e.Rate) || !finite(e.Factor) {
+		return fmt.Errorf("fault: %s episode needs finite rate and factor (rate=%v factor=%v)", e.Kind, e.Rate, e.Factor)
+	}
 	switch e.Kind {
 	case Error:
 		if e.Rate <= 0 || e.Rate > 1 {
@@ -154,6 +163,8 @@ func (e Episode) Validate() error {
 	}
 	return nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 func (e Episode) String() string {
 	var b strings.Builder

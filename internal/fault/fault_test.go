@@ -2,6 +2,7 @@ package fault
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -145,6 +146,51 @@ func TestParsePlanSpec(t *testing.T) {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Errorf("ParsePlan(%q) should fail", bad)
 		}
+	}
+}
+
+// TestParsePlanRejectsEmptyPlan: a spec made only of separators parses to
+// no episodes; accepting it would run a "faulted" experiment that injects
+// nothing.
+func TestParsePlanRejectsEmptyPlan(t *testing.T) {
+	for _, spec := range []string{";", " ; ;", ";;;"} {
+		if p, err := ParsePlan(spec); err == nil {
+			t.Errorf("ParsePlan(%q) = %+v, want an error", spec, p)
+		}
+	}
+}
+
+// TestParsePlanRejectsNonFinite: NaN fails every comparison, so a bound
+// written as "reject if out of range" lets it through; +Inf passes the
+// one-sided bounds.
+func TestParsePlanRejectsNonFinite(t *testing.T) {
+	for _, spec := range []string{
+		"error:at=0s,dur=1s,rate=NaN",
+		"gcstorm:at=0s,dur=1s,rate=NaN,stall=1ms",
+		"slow:at=0s,dur=1s,factor=NaN",
+		"slow:at=0s,dur=1s,factor=+Inf",
+		"iopscap:at=0s,dur=1s,rate=+Inf",
+		"iopscap:at=0s,dur=1s,rate=NaN",
+		"stall:at=0s,dur=1s,factor=NaN",
+		"error:at=0s,dur=1s,rate=0.1,factor=-Inf",
+	} {
+		if p, err := ParsePlan(spec); err == nil {
+			t.Errorf("ParsePlan(%q) = %+v, want an error", spec, p)
+		}
+	}
+}
+
+// TestParsePlanRejectsEndOverflow: at+dur past the largest virtual time
+// wraps negative, which would make the episode never active and Horizon
+// read 0.
+func TestParsePlanRejectsEndOverflow(t *testing.T) {
+	if p, err := ParsePlan("slow:at=2562047h,dur=2562047h,factor=2"); err == nil {
+		t.Errorf("overflowing episode accepted: %+v (horizon %v)", p, p.Horizon())
+	}
+	// The largest representable end is still fine.
+	e := Episode{Kind: Stall, At: 1, Dur: math.MaxInt64 - 1}
+	if err := e.Validate(); err != nil {
+		t.Errorf("episode ending exactly at the last virtual instant rejected: %v", err)
 	}
 }
 

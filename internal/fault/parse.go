@@ -73,6 +73,9 @@ func ParsePlan(spec string) (Plan, error) {
 		}
 		p.Episodes = append(p.Episodes, ep)
 	}
+	if p.Empty() {
+		return Plan{}, fmt.Errorf("fault: plan spec %q has no episodes", spec)
+	}
 	if err := p.Validate(); err != nil {
 		return Plan{}, err
 	}

@@ -103,10 +103,39 @@ func TestClusterRepeatedRunsByteIdentical(t *testing.T) {
 func TestClusterGolden(t *testing.T) {
 	cfg := goldenConfig()
 	cfg.Workers = 4
-	got := mustRun(t, cfg).Format()
-	path := filepath.Join("testdata", "fleet_golden.txt")
+	checkGolden(t, "fleet_golden.txt", []byte(mustRun(t, cfg).Format()))
+}
+
+// TestClusterExportGolden pins the OpenMetrics and JSON export bytes of the
+// golden cluster with sampled flight recorders on, so every optional
+// family and section is rendered.
+func TestClusterExportGolden(t *testing.T) {
+	cfg := goldenConfig()
+	cfg.Workers = 4
+	cfg.Flight = &fleet.FleetFlight{SampleFrac: 0.25}
+	s := mustRun(t, cfg)
+	if s.FlightSampled == 0 || len(s.FlightIncidents) == 0 {
+		t.Fatalf("flight sampling produced %d hosts, %d incidents; the golden would not cover the flight families",
+			s.FlightSampled, len(s.FlightIncidents))
+	}
+	var om, js bytes.Buffer
+	if err := s.WriteOpenMetrics(&om); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fleet_golden.om", om.Bytes())
+	checkGolden(t, "fleet_golden.json", js.Bytes())
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file under
+// UPDATE_FLEET_GOLDEN=1.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if os.Getenv("UPDATE_FLEET_GOLDEN") != "" {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("updated %s", path)
@@ -116,8 +145,8 @@ func TestClusterGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read golden (UPDATE_FLEET_GOLDEN=1 to create): %v", err)
 	}
-	if got != string(want) {
-		t.Errorf("fleet summary diverged from golden:\n--- want\n%s--- got\n%s", want, got)
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s diverged from golden:\n--- want\n%s--- got\n%s", name, want, got)
 	}
 }
 

@@ -14,8 +14,9 @@
 // Everything about a scrape is deterministic: families gather in
 // registration order, a collector's samples appear in emission order, and
 // label rendering is canonical — identical seeds therefore produce
-// byte-identical exports (see internal/metrics for the sampler and the
-// OpenMetrics/JSON writers).
+// byte-identical exports. The OpenMetrics text writer lives here
+// (TextWriter, Registry.WriteOpenMetrics); internal/metrics holds the
+// sampler that records series over time and its JSON export.
 package registry
 
 import (

@@ -5,7 +5,7 @@ import "github.com/iocost-sim/iocost/internal/registry"
 // Registry export for recorder health: ring occupancy and drop counts per
 // capture stream. Before this existed, events shed by ring wraparound were
 // only visible after the fact in Analysis.Dropped — a long capture could
-// silently lose its beginning and nothing in iocost-monitor would say so.
+// silently lose its beginning and no metrics export would say so.
 //
 // A machine can run several recorders at once (the main trace plus the
 // flight recorder's black box), and registry family names must be unique,

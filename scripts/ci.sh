@@ -69,7 +69,13 @@ echo "== cmd exit codes (errors must exit non-zero)"
 for bad in \
 	"./cmd/iocost-sim -device nosuch" \
 	"./cmd/iocost-sim -faults bogus" \
-	"./cmd/iocost-monitor -check /nonexistent.json" \
+	"./cmd/iocost-sim -check /nonexistent.json" \
+	"./cmd/iocost-sim -hi-weight 0" \
+	"./cmd/iocost-sim -depth 0" \
+	"./cmd/iocost-sim -size -1" \
+	"./cmd/iocost-sim -seconds 0" \
+	"./cmd/iocost-sim -faults ;" \
+	"./cmd/iocost-sim -faults slow:at=0s,dur=1s,factor=NaN" \
 	"./cmd/iocost-trace analyze /nonexistent.trace" \
 	"./cmd/iocost-fuzz -replay /nonexistent.json" \
 	"./cmd/iocost-bench -run nosuch" \
@@ -119,6 +125,11 @@ if $tier3; then
 	# The same sweep with seed-derived fault plans on every scenario:
 	# sanitizer and drain checks against live error/retry/timeout paths.
 	make fuzz-smoke-faults
+
+	echo "== fault plan fuzz (15s)"
+	# Every accepted -faults spec must be a non-empty, finite, validating
+	# plan whose String() parses back to the same plan.
+	go test ./internal/fault -run '^$' -fuzz '^FuzzParsePlan$' -fuzztime 15s
 
 	echo "== pacer fuzz (20s)"
 	# Random event storms with parked pacers must run every real event in
